@@ -138,14 +138,9 @@ def source_logits_t(x: np.ndarray, wt: Dict[str, T.Tensor]) -> T.Tensor:
 
 def _conv2d_np(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # same padding/stride semantics as tensor.conv2d, without the graph
-    n, h, w, cin = x.shape
+    n, h, w, _ = x.shape
     k, cout = kernel.shape[0], kernel.shape[3]
-    p = k // 2
-    padded = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-    cols = windows.reshape(n * h * w, k * k * cin)
-    return (cols @ kernel.reshape(k * k * cin, cout)).reshape(n, h, w, cout)
+    return (T.im2col(x, k) @ kernel.reshape(-1, cout)).reshape(n, h, w, cout)
 
 
 def feature_extract(x: np.ndarray, weights: ModelWeights) -> np.ndarray:

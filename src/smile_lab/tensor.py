@@ -29,19 +29,26 @@ class Tensor:
     """N-d float64 array node on the computation graph.
 
     ``grad`` stays None until a backward pass from a scalar root reaches
-    this node.
+    this node. ``requires_grad`` is True for a leaf unless it is built by
+    ``constant()``; a primitive's output requires a gradient when any of its
+    parents does.
     """
 
-    __slots__ = ("values", "grad", "node_id", "_parents", "_backward")
+    __slots__ = ("values", "grad", "node_id", "requires_grad", "_parents",
+                 "_backward")
 
     def __init__(self, values, parents: Sequence["Tensor"] = (),
-                 backward: Callable[[np.ndarray], None] | None = None):
+                 backward: Callable[[np.ndarray], None] | None = None,
+                 requires_grad: bool = True):
         self.values = np.asarray(values, dtype=np.float64)
-        _check_finite(self.values, "tensor construction")
+        _check_finite(self.values, "primitive output" if parents
+                      else "tensor construction")
         self.grad: np.ndarray | None = None
         self.node_id = next(_node_counter)
         self._parents = tuple(parents)
         self._backward = backward
+        self.requires_grad = (any(p.requires_grad for p in self._parents)
+                              if self._parents else requires_grad)
 
     @property
     def shape(self):
@@ -57,8 +64,8 @@ class Tensor:
 
 
 def constant(values) -> Tensor:
-    """Leaf with no gradient flow intended (callers just never read .grad)."""
-    return Tensor(values)
+    """Leaf that needs no gradient; primitives may skip computing one."""
+    return Tensor(values, requires_grad=False)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -71,11 +78,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _make(values: np.ndarray, parents, backward) -> Tensor:
-    _check_finite(np.asarray(values), "primitive output")
-    return Tensor(values, parents, backward)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_vals = a.values + b.values
 
@@ -83,7 +85,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(_unbroadcast(g, a.values.shape))
         b._accumulate(_unbroadcast(g, b.values.shape))
 
-    return _make(out_vals, (a, b), backward)
+    return Tensor(out_vals, (a, b), backward)
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
@@ -93,7 +95,7 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(_unbroadcast(g, a.values.shape))
         b._accumulate(-_unbroadcast(g, b.values.shape))
 
-    return _make(out_vals, (a, b), backward)
+    return Tensor(out_vals, (a, b), backward)
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
@@ -104,7 +106,7 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(_unbroadcast(g * b.values, a.values.shape))
         b._accumulate(_unbroadcast(g * a.values, b.values.shape))
 
-    return _make(out_vals, (a, b), backward)
+    return Tensor(out_vals, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -114,7 +116,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def backward(g):
         a._accumulate(g * c)
 
-    return _make(out_vals, (a,), backward)
+    return Tensor(out_vals, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -129,7 +131,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(g @ b.values.T)
         b._accumulate(a.values.T @ g)
 
-    return _make(out_vals, (a, b), backward)
+    return Tensor(out_vals, (a, b), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -138,7 +140,7 @@ def relu(a: Tensor) -> Tensor:
     def backward(g):
         a._accumulate(g * (a.values > 0.0))
 
-    return _make(out_vals, (a,), backward)
+    return Tensor(out_vals, (a,), backward)
 
 
 def mean(a: Tensor) -> Tensor:
@@ -148,7 +150,7 @@ def mean(a: Tensor) -> Tensor:
     def backward(g):
         a._accumulate(np.full_like(a.values, float(g) / n))
 
-    return _make(out_vals, (a,), backward)
+    return Tensor(out_vals, (a,), backward)
 
 
 def sum_of_squares(a: Tensor) -> Tensor:
@@ -157,7 +159,26 @@ def sum_of_squares(a: Tensor) -> Tensor:
     def backward(g):
         a._accumulate(2.0 * float(g) * a.values)
 
-    return _make(out_vals, (a,), backward)
+    return Tensor(out_vals, (a,), backward)
+
+
+def im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """(N, H, W, Cin) -> (N*H*W, k*k*Cin) patch matrix for a 'same' k x k
+    convolution, columns ordered (row tap, column tap, channel).
+
+    The padded image is C-contiguous, so the k column taps of one row tap
+    are k*Cin consecutive values; the view over them is copied in runs of
+    that length.
+    """
+    n, h, w, cin = x.shape
+    p = k // 2
+    padded = np.zeros((n, h + 2 * p, w + 2 * p, cin))
+    padded[:, p:p + h, p:p + w, :] = x
+    s_n, s_h, s_w, s_c = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, shape=(n, h, w, k, k * cin),
+        strides=(s_n, s_h, s_w, s_h, s_c), writeable=False)
+    return windows.reshape(n * h * w, k * k * cin)
 
 
 def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
@@ -176,26 +197,37 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     cout = kernel.values.shape[3]
     p = k // 2
 
-    padded = np.pad(x.values, ((0, 0), (p, p), (p, p), (0, 0)))
-    # (N, H, W, k, k, Cin) patches, then one big matmul
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (k, k), axis=(1, 2))            # (N, H, W, Cin, k, k)
-    windows = windows.transpose(0, 1, 2, 4, 5, 3)  # (N, H, W, k, k, Cin)
-    cols = windows.reshape(n * h * w, k * k * cin)
+    cols = im2col(x.values, k)
     kmat = kernel.values.reshape(k * k * cin, cout)
     out_vals = (cols @ kmat).reshape(n, h, w, cout)
 
     def backward(g):
         gmat = g.reshape(n * h * w, cout)
-        kernel._accumulate((cols.T @ gmat).reshape(kernel.values.shape))
-        dcols = (gmat @ kmat.T).reshape(n, h, w, k, k, cin)
-        dpad = np.zeros_like(padded)
+        if kernel.requires_grad:
+            kernel._accumulate((cols.T @ gmat).reshape(kernel.values.shape))
+        if not x.requires_grad:
+            return
+        # col2im, channel-major. g is zero-padded to (H+2p, W+2p) planes
+        # first, so that dcols has the layout of the padded input gradient
+        # and each tap adds one contiguous run at a fixed offset. The taps
+        # go in (i, j) order into zeros, as in a per-tap scatter into
+        # (N, H+2p, W+2p, Cin); the padding only adds zeros, and a zero of
+        # either sign added to a sum that started at +0.0 leaves its bits
+        # unchanged.
+        hp, wp = h + 2 * p, w + 2 * p
+        gpad = np.zeros((n, hp, wp, cout))
+        gpad[:, :h, :w, :] = g
+        dcols = (kmat @ gpad.reshape(-1, cout).T).reshape(k, k, -1)
+        size = dcols.shape[2]
+        dpad = np.zeros(size)
         for i in range(k):
             for j in range(k):
-                dpad[:, i:i + h, j:j + w, :] += dcols[:, :, :, i, j, :]
-        x._accumulate(dpad[:, p:p + h, p:p + w, :])
+                shift = i * wp + j
+                dpad[shift:] += dcols[i, j, :size - shift]
+        dpad = dpad.reshape(cin, n, hp, wp)
+        x._accumulate(dpad[:, :, p:p + h, p:p + w].transpose(1, 2, 3, 0))
 
-    return _make(out_vals, (x, kernel), backward)
+    return Tensor(out_vals, (x, kernel), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: Tensor) -> Tensor:
@@ -223,7 +255,7 @@ def softmax_cross_entropy(logits: Tensor, targets: Tensor) -> Tensor:
         logits._accumulate(float(g) * (softmax - targets.values) / n)
         targets._accumulate(float(g) * (-log_probs) / n)
 
-    return _make(out_vals, (logits, targets), backward)
+    return Tensor(out_vals, (logits, targets), backward)
 
 
 def softmax(logits: Tensor) -> Tensor:
@@ -238,7 +270,7 @@ def softmax(logits: Tensor) -> Tensor:
         dot = (g * probs).sum(axis=1, keepdims=True)
         logits._accumulate(probs * (g - dot))
 
-    return _make(probs, (logits,), backward)
+    return Tensor(probs, (logits,), backward)
 
 
 _PRIMITIVES: Dict[str, Callable[..., Tensor]] = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field, replace
@@ -29,7 +30,14 @@ _MODE_TABLE = {
 
 
 class TrainingDiverged(RuntimeError):
-    pass
+    """A training step produced NaN or Inf (loss, activation or gradient)."""
+
+
+def _check_step_settings(lr: float, batch_size: int) -> None:
+    if not lr > 0:
+        raise ValueError("lr must be > 0")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
 
 
 @dataclass
@@ -58,6 +66,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_step_settings(self.lr, self.batch_size)
         if self.iterations <= 0:
             raise ValueError("iterations must be > 0")
         if self.teacher_period < 1:
@@ -81,6 +90,9 @@ class PretrainConfig:
     use_mixup: bool = True
     alpha: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        _check_step_settings(self.lr, self.batch_size)
 
 
 @dataclass
@@ -129,6 +141,21 @@ def _collect_grads(tensors: Dict[str, T.Tensor]) -> Dict[str, np.ndarray]:
             for name, t in tensors.items()}
 
 
+@contextlib.contextmanager
+def _diverges_at(k: int, phase: str):
+    """Re-raise a NonFiniteError from one training step as TrainingDiverged.
+
+    numpy's overflow warnings are silenced inside the step: a non-finite
+    value reaches a finite check and becomes that one error instead.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
+    except T.NonFiniteError as exc:
+        raise TrainingDiverged(
+            f"{phase} diverged at iteration {k}: {exc}") from exc
+
+
 def pretrain_source(dataset: Dataset, config: PretrainConfig) -> model.ModelWeights:
     """Train the feature extractor plus source head with plain SGD."""
     if len(dataset) == 0:
@@ -141,27 +168,27 @@ def pretrain_source(dataset: Dataset, config: PretrainConfig) -> model.ModelWeig
     rng = np.random.default_rng(config.seed)
     for k in range(1, config.iterations + 1):
         x, y = _sample_batch(dataset, config.batch_size, rng)
-        wt = model.as_tensors(weights)
-        if config.use_mixup:
-            lam = sample_lambda(config.alpha, rng)
-            pairing = pair_batch(len(x), rng)
-            logits = model.source_logits_t(mix(x, x[pairing], lam), wt)
-            loss = T.add(
-                T.scale(T.softmax_cross_entropy(
-                    logits, T.constant(one_hot(y, dataset.n_classes))),
-                    1.0 - lam),
-                T.scale(T.softmax_cross_entropy(
-                    logits, T.constant(one_hot(y[pairing], dataset.n_classes))),
-                    lam))
-        else:
-            logits = model.source_logits_t(x, wt)
-            loss = T.softmax_cross_entropy(
-                logits, T.constant(one_hot(y, dataset.n_classes)))
-        if not np.isfinite(loss.values):
-            raise TrainingDiverged(f"pretraining loss non-finite at {k}")
-        T.backward(loss)
-        T.sgd_step(weights.params, _collect_grads(wt), state, config.lr,
-                   config.momentum, config.weight_decay)
+        with _diverges_at(k, "pretraining"):
+            wt = model.as_tensors(weights)
+            if config.use_mixup:
+                lam = sample_lambda(config.alpha, rng)
+                pairing = pair_batch(len(x), rng)
+                logits = model.source_logits_t(mix(x, x[pairing], lam), wt)
+                loss = T.add(
+                    T.scale(T.softmax_cross_entropy(
+                        logits, T.constant(one_hot(y, dataset.n_classes))),
+                        1.0 - lam),
+                    T.scale(T.softmax_cross_entropy(
+                        logits,
+                        T.constant(one_hot(y[pairing], dataset.n_classes))),
+                        lam))
+            else:
+                logits = model.source_logits_t(x, wt)
+                loss = T.softmax_cross_entropy(
+                    logits, T.constant(one_hot(y, dataset.n_classes)))
+            T.backward(loss)
+            T.sgd_step(weights.params, _collect_grads(wt), state, config.lr,
+                       config.momentum, config.weight_decay)
     return weights
 
 
@@ -244,26 +271,26 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
             src_pairing = pair_batch(len(x_src), rng)
             if not config.shared_lambda:
                 lam = {"tgt": lam, "src": sample_lambda(config.alpha, rng)}
-        wt = model.as_tensors(student)
-        if isinstance(lam, dict):
-            total, breakdown = _objective_two_lambdas(
-                wt, teacher, x, y, x_src, n_tgt_classes, lam, tgt_pairing,
-                src_pairing, eff_weights, config.compare_space)
-        else:
-            total, breakdown = total_objective(
-                wt, teacher, x, y, x_src, n_tgt_classes, lam, tgt_pairing,
-                src_pairing, eff_weights, use_mixup, config.compare_space)
-        if not np.isfinite(total.values):
-            raise TrainingDiverged(f"loss non-finite at iteration {k}")
-        T.backward(total)
-        grads = _collect_grads(wt)
-        if config.grad_clip:
-            norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            if norm > config.grad_clip:
-                factor = config.grad_clip / norm
-                grads = {n: g * factor for n, g in grads.items()}
-        T.sgd_step(student.params, grads, state, lr,
-                   config.momentum, config.weight_decay)
+        with _diverges_at(k, "training"):
+            wt = model.as_tensors(student)
+            if isinstance(lam, dict):
+                total, breakdown = _objective_two_lambdas(
+                    wt, teacher, x, y, x_src, n_tgt_classes, lam, tgt_pairing,
+                    src_pairing, eff_weights, config.compare_space)
+            else:
+                total, breakdown = total_objective(
+                    wt, teacher, x, y, x_src, n_tgt_classes, lam, tgt_pairing,
+                    src_pairing, eff_weights, use_mixup, config.compare_space)
+            T.backward(total)
+            grads = _collect_grads(wt)
+            if config.grad_clip:
+                norm = np.sqrt(sum(float((g * g).sum())
+                                   for g in grads.values()))
+                if norm > config.grad_clip:
+                    factor = config.grad_clip / norm
+                    grads = {n: g * factor for n, g in grads.items()}
+            T.sgd_step(student.params, grads, state, lr,
+                       config.momentum, config.weight_decay)
 
         metrics.loss_rows.append({
             "iteration": k, "lr": lr, "task": breakdown.task,
@@ -272,6 +299,8 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
         })
         if config.eval_every and (k % config.eval_every == 0
                                   or k == config.iterations):
+            # the step's graph is dead; free it before the eval batches
+            del wt, total, grads
             row = {"iteration": k,
                    "train_acc": accuracy(student, target_train)}
             if target_test is not None:

@@ -155,6 +155,32 @@ def test_bad_override_fails_before_side_effects(workdir):
     assert not out.exists()
 
 
+def _assert_diverged(code, stderr):
+    assert code == 1
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "TrainingDiverged"
+
+
+def test_train_divergence_is_typed_error(workdir):
+    out, run = workdir
+    run("gen-data")
+    run("pretrain")
+    code, _, stderr = run("train", "train.lr=1000.0", "train.grad_clip=0.0",
+                          "train.iterations=40")
+    _assert_diverged(code, stderr)
+    assert not list(out.glob("student_*.ckpt"))
+    assert not list(out.glob("metrics_*.csv"))
+
+
+def test_pretrain_divergence_is_typed_error(workdir):
+    out, run = workdir
+    run("gen-data")
+    code, _, stderr = run("pretrain", "pretrain.lr=1000000000.0")
+    _assert_diverged(code, stderr)
+    assert not (out / "pretrained.ckpt").exists()
+
+
 def test_bad_config_value(workdir):
     _, run = workdir
     code, _, stderr = run("gen-data", "subsample_rate=2.0")

@@ -118,3 +118,15 @@ def test_override_bool_and_string():
     assert cfg.train.shared_lambda is False
     assert cfg.train.compare_space == "probs"
     assert cfg.output_dir == "elsewhere"
+
+
+@pytest.mark.parametrize("override", ["train.batch_size=0",
+                                      "pretrain.batch_size=0",
+                                      "train.lr=-1", "pretrain.lr=0"])
+def test_step_settings_validated(override):
+    with pytest.raises(ConfigError):
+        apply_overrides(build_config({}), [override])
+    section, _, rest = override.partition(".")
+    key, _, value = rest.partition("=")
+    with pytest.raises(ConfigError):
+        build_config({section: {key: int(value)}})

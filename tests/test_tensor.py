@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smile_lab import tensor as T
+from smile_lab import model, tensor as T
 
 
 def _fd_check(build, point, step=1e-5, tol=1e-4):
@@ -124,6 +124,97 @@ def test_conv2d_kernel_gradient():
 
     _fd_check(lambda k: T.sum_of_squares(T.conv2d(T.constant(x), k)),
               rng.normal(size=(3, 3, 2, 2)))
+
+
+def _reference_im2col(x, k):
+    n, h, w, cin = x.shape
+    p = k // 2
+    padded = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    return windows.reshape(n * h * w, k * k * cin)
+
+
+def _reference_conv2d(x, kernel, g):
+    """Plain im2col conv and its k x k scatter backward, channel-last:
+    (out, dx, dkernel) for upstream gradient g."""
+    n, h, w, cin = x.shape
+    k, cout = kernel.shape[0], kernel.shape[3]
+    p = k // 2
+    cols = _reference_im2col(x, k)
+    kmat = kernel.reshape(k * k * cin, cout)
+    out = (cols @ kmat).reshape(n, h, w, cout)
+    gmat = g.reshape(n * h * w, cout)
+    dkernel = (cols.T @ gmat).reshape(kernel.shape)
+    dcols = (gmat @ kmat.T).reshape(n, h, w, k, k, cin)
+    dpad = np.zeros((n, h + 2 * p, w + 2 * p, cin))
+    for i in range(k):
+        for j in range(k):
+            dpad[:, i:i + h, j:j + w, :] += dcols[:, :, :, i, j, :]
+    return out, dpad[:, p:p + h, p:p + w, :], dkernel
+
+
+@pytest.mark.parametrize("x_shape,k,cout", [
+    ((3, 5, 5, 3), 3, 4),
+    ((2, 7, 7, 2), 5, 3),
+    ((4, 6, 6, 1), 3, 8),
+])
+def test_conv2d_bit_identical_to_reference(x_shape, k, cout):
+    rng = np.random.default_rng(11)
+    x_vals = rng.normal(size=x_shape)
+    k_vals = rng.normal(size=(k, k, x_shape[3], cout))
+    x, kernel = T.Tensor(x_vals), T.Tensor(k_vals)
+    out = T.conv2d(x, kernel)
+    T.backward(T.sum_of_squares(out))
+    # sum_of_squares hands 2 * out to the conv as its upstream gradient
+    ref_out, ref_dx, ref_dk = _reference_conv2d(x_vals, k_vals,
+                                                2.0 * out.values)
+    assert np.array_equal(out.values, ref_out)
+    assert np.array_equal(x.grad, ref_dx)
+    assert np.array_equal(kernel.grad, ref_dk)
+
+
+@pytest.mark.parametrize("x_shape,k", [
+    ((2, 5, 5, 3), 3), ((1, 7, 6, 2), 5), ((3, 4, 4, 1), 1)])
+def test_im2col_matches_sliding_window_view(x_shape, k):
+    x = np.random.default_rng(2).normal(size=x_shape)
+    assert np.array_equal(T.im2col(x, k), _reference_im2col(x, k))
+
+
+def test_feature_extract_matches_tensor_path():
+    arch = model.Architecture(image_size=8, conv1_filters=4,
+                              conv2_filters=6, feature_dim=5)
+    weights = model.init_weights(arch, seed=4, with_target_head=True)
+    x = np.random.default_rng(4).normal(size=(5, 8, 8, 1))
+    graph_free = model.feature_extract(x, weights)
+    traced = model.feature_extract_t(x, model.as_tensors(weights))
+    assert np.array_equal(graph_free, traced.values)
+
+
+def test_conv2d_constant_input_gets_no_gradient():
+    rng = np.random.default_rng(6)
+    x_vals = rng.normal(size=(2, 5, 5, 3))
+    k_vals = rng.normal(size=(3, 3, 3, 4))
+    grads = []
+    for make_input in (T.Tensor, T.constant):
+        x, kernel = make_input(x_vals), T.Tensor(k_vals)
+        out = T.conv2d(x, kernel)
+        assert out.requires_grad
+        T.backward(T.sum_of_squares(out))
+        grads.append((x.grad, kernel.grad))
+    assert grads[0][0] is not None and grads[1][0] is None
+    assert np.array_equal(grads[0][1], grads[1][1])
+    assert not T.conv2d(T.constant(x_vals), T.constant(k_vals)).requires_grad
+
+
+@pytest.mark.parametrize("x_shape,k,cout", [
+    ((2, 4, 4, 3), 3, 2), ((1, 5, 5, 2), 5, 3)])
+def test_conv2d_input_gradient_multichannel(x_shape, k, cout):
+    rng = np.random.default_rng(9)
+    kernel = T.constant(rng.normal(size=(k, k, x_shape[3], cout)))
+
+    _fd_check(lambda x: T.sum_of_squares(T.conv2d(x, kernel)),
+              rng.normal(size=x_shape))
 
 
 def test_apply_primitive_dispatch():
