@@ -8,8 +8,8 @@ metrics_*.csv, and il_report.json. Two source trees that give the same lines
 compute the same bytes; a refactor that claims to change no arithmetic shows
 it by comparing this output before and after:
 
-    python3 scripts/golden_digests.py > after.txt
-    python3 scripts/golden_digests.py --src /path/to/other/checkout/src
+    PYTHONPATH=src python3 scripts/golden_digests.py > after.txt
+    PYTHONPATH=<checkout>/src python3 scripts/golden_digests.py > before.txt
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from smile_lab import cli, train
 
 CONFIG = """\
 seed: 0
@@ -46,13 +46,7 @@ def sha256(path: Path) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="directory holding the smile_lab package")
-    args = parser.parse_args()
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    from smile_lab import cli, train
-
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     # the config names the output directory; keep the environment out of it
     os.environ.pop(cli.ENV_OUTPUT_DIR, None)
     cwd = os.getcwd()

@@ -203,8 +203,7 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
 
     def backward(g):
         gmat = g.reshape(n * h * w, cout)
-        if kernel.requires_grad:
-            kernel._accumulate((cols.T @ gmat).reshape(kernel.values.shape))
+        kernel._accumulate((cols.T @ gmat).reshape(kernel.values.shape))
         if not x.requires_grad:
             return
         # col2im, channel-major. g is zero-padded to (H+2p, W+2p) planes
@@ -213,7 +212,10 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         # go in (i, j) order into zeros, as in a per-tap scatter into
         # (N, H+2p, W+2p, Cin); the padding only adds zeros, and a zero of
         # either sign added to a sum that started at +0.0 leaves its bits
-        # unchanged.
+        # unchanged. That argument covers the scatter only: dcols comes from
+        # kmat @ gpad.T rather than g @ kmat.T, and BLAS need not round the
+        # two orders alike. They agree on the shapes checked in CHANGES.md
+        # (16x16 images among them); other shapes can differ in the last bit.
         hp, wp = h + 2 * p, w + 2 * p
         gpad = np.zeros((n, hp, wp, cout))
         gpad[:, :h, :w, :] = g
