@@ -229,6 +229,17 @@ def test_accuracy_rejects_empty(pretrained):
         train.accuracy(pretrained, empty)
 
 
+def test_eval_logits_do_not_depend_on_batch_rows(pretrained, datasets):
+    src, _, _ = datasets
+    whole = model.source_logits(src.inputs, pretrained)       # 160 rows
+    chunked = np.concatenate([model.source_logits(src.inputs[s:s + 32],
+                                                  pretrained)
+                              for s in range(0, len(src), 32)])
+    assert np.array_equal(whole, chunked)
+    assert train.accuracy(pretrained, src, head="source") == \
+        train.accuracy(pretrained, src, head="source", batch_size=256)
+
+
 def test_ablation_suite_shape(pretrained, datasets):
     src, tgt, tst = datasets
     rows, summary = train.run_ablation_suite(
