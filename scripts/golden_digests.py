@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Print sha256 digests of the pipeline's artifacts at a small config.
 
-Runs gen-data, pretrain, train for every fine-tuning mode, and diagnose
-through the CLI in a temporary directory, then prints one
-``<sha256>  <artifact>`` line for pretrained.ckpt, every student_*.ckpt and
-metrics_*.csv, and il_report.json. Two source trees that give the same lines
-compute the same bytes; a refactor that claims to change no arithmetic shows
-it by comparing this output before and after:
+Runs gen-data --csv, pretrain, train for every fine-tuning mode, and
+diagnose through the CLI in a temporary directory, then prints one
+``<sha256>  <artifact>`` line for the four dataset CSVs, pretrained.ckpt,
+every student_*.ckpt and metrics_*.csv, and il_report.json. Two source
+trees that give the same lines compute the same bytes; a refactor that claims
+to change no arithmetic shows it by comparing this output before and after:
 
     PYTHONPATH=src python3 scripts/golden_digests.py > after.txt
     PYTHONPATH=<checkout>/src python3 scripts/golden_digests.py > before.txt
@@ -40,6 +40,8 @@ subsample_rate: 0.5
 output_dir: out
 """
 
+DATASETS = ("source_train", "target_train_full", "target_train", "target_test")
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -55,7 +57,7 @@ def main() -> int:
         os.chdir(tmp)
         try:
             Path("exp.yaml").write_text(CONFIG)
-            steps = [["gen-data"], ["pretrain"]]
+            steps = [["gen-data", "--csv"], ["pretrain"]]
             steps += [["train", f"train.mode={mode}"] for mode in train.MODES]
             steps.append(["diagnose", "train.mode=SMILE"])
             for argv in steps:
@@ -69,6 +71,7 @@ def main() -> int:
             artifacts = [out / "pretrained.ckpt", out / "il_report.json"]
             artifacts += out.glob("student_*.ckpt")
             artifacts += out.glob("metrics_*.csv")
+            artifacts += [out / f"{name}.csv" for name in DATASETS]
             digests = sorted((p.name, sha256(p)) for p in artifacts)
         finally:
             os.chdir(cwd)

@@ -64,9 +64,10 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> None:
     source = data.load(_require(_dataset_paths(out)["source_train"],
                                 "gen-data"))
     weights = train.pretrain_source(source, cfg.pretrain)
+    with train.diverges_at(cfg.pretrain.iterations, "evaluation"):
+        acc = train.accuracy(weights, source, head="source")
     ckpt = out / "pretrained.ckpt"
     model.save_checkpoint(weights, ckpt)
-    acc = train.accuracy(weights, source, head="source")
     print(f"pretrained {cfg.pretrain.iterations} iterations, "
           f"source train accuracy {acc:.4f}, checkpoint {ckpt}")
 
@@ -81,11 +82,16 @@ def cmd_train(cfg: ExperimentConfig, args) -> None:
     target_test = data.load(_require(paths["target_test"], "gen-data"))
     student, metrics = train.train(pretrained, target_train, source_train,
                                    cfg.train, target_test)
+    last = metrics.eval_rows[-1] if metrics.eval_rows else {}
+    if last.get("iteration") == cfg.train.iterations:
+        acc = last["test_acc"]
+    else:
+        with train.diverges_at(cfg.train.iterations, "evaluation"):
+            acc = train.accuracy(student, target_test)
     mode = cfg.train.mode
     ckpt = out / f"student_{mode}.ckpt"
     model.save_checkpoint(student, ckpt)
     metrics.write_csv(out / f"metrics_{mode}.csv")
-    acc = train.accuracy(student, target_test)
     print(f"trained mode={mode} seed={cfg.train.seed} "
           f"gamma_fe={cfg.train.gamma_fe} gamma_fc={cfg.train.gamma_fc}: "
           f"test accuracy {acc:.4f}, checkpoint {ckpt}")
@@ -132,8 +138,10 @@ def cmd_diagnose(cfg: ExperimentConfig, args) -> None:
         ckpt = Path(args.checkpoint) if args.checkpoint \
             else out / f"student_{cfg.train.mode}.ckpt"
         weights = model.load_checkpoint(_require(ckpt, "train"))
-        label_fn = interpolation.model_output_fn(weights, "label")
+        # one feature sweep serves both estimates: they draw the same
+        # batches, and the feature closure keeps what it extracted
         feature_fn = interpolation.model_output_fn(weights, "feature")
+        label_fn = lambda x: model.head_logits(feature_fn(x), weights)
         source_name = str(ckpt)
     reports = {}
     for layer, fn in (("label", label_fn), ("feature", feature_fn)):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass, field, fields
 from typing import List
 
@@ -34,8 +35,19 @@ class ExperimentConfig:
 _SECTIONS = ("task", "pretrain", "train", "diagnostics")
 
 
+# YAML 1.1 reads a float only with a dot and a signed exponent, so 1e-3
+# and 1.0e6 arrive as strings
+_FLOAT_NUMERAL = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+_SCALARS = {"float": float, "int": int, "bool": bool}
+
+
 def _coerce(value, target_type, where: str):
-    if target_type is float and isinstance(value, (int, float)):
+    if target_type is float:
+        if isinstance(value, str) and _FLOAT_NUMERAL.fullmatch(value):
+            return float(value)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where}: expected float, got {value!r}")
         return float(value)
     if target_type is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -52,8 +64,7 @@ def _build_section(dc_cls, values: dict, where: str):
     for key, val in values.items():
         if key not in known:
             raise ConfigError(f"unknown key {where}.{key}")
-        ftype = known[key].type
-        base = {"float": float, "int": int, "bool": bool}.get(ftype, None)
+        base = _SCALARS.get(known[key].type)
         kwargs[key] = _coerce(val, base, f"{where}.{key}") if base else val
     try:
         return dc_cls(**kwargs)
@@ -73,7 +84,7 @@ def load_config(path=None) -> ExperimentConfig:
 
 def build_config(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    top_fields = {f.name for f in fields(ExperimentConfig)}
+    top_fields = {f.name: f.type for f in fields(ExperimentConfig)}
     global_seed = raw.get("seed", cfg.seed)
     for key, val in raw.items():
         if key not in top_fields:
@@ -86,7 +97,8 @@ def build_config(raw: dict) -> ExperimentConfig:
                 section.seed = global_seed
             setattr(cfg, key, section)
         else:
-            setattr(cfg, key, val)
+            base = _SCALARS.get(top_fields[key])
+            setattr(cfg, key, _coerce(val, base, key) if base else val)
     if "seed" in raw:
         for name in _SECTIONS:
             section_raw = raw.get(name) or {}
@@ -120,8 +132,8 @@ def apply_overrides(cfg: ExperimentConfig,
         if not dataclasses.is_dataclass(target) or not hasattr(target, leaf):
             raise ConfigError(f"unknown config path {path!r}")
         current = getattr(target, leaf)
-        if isinstance(current, float) and isinstance(value, int):
-            value = float(value)
+        if type(current) in (float, int, bool):
+            value = _coerce(value, type(current), path)
         if current is not None and value is not None \
                 and not isinstance(value, type(current)) \
                 and not dataclasses.is_dataclass(current):

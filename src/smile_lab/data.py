@@ -7,7 +7,6 @@ source classes, so the two domains are related but not identical.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -230,10 +229,16 @@ def load(path) -> Dataset:
 
 
 def export_csv(dataset: Dataset, path) -> None:
-    """Debug export: one row per sample, flattened pixels then the label."""
+    """Debug export: one row per sample, flattened pixels then the label.
+
+    The bytes are those of ``csv.writer`` over the numpy scalars (float
+    repr, no quoting, CRLF line ends), written a row at a time so that no
+    whole-matrix list of Python floats is built.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         n_pixels = int(np.prod(dataset.inputs.shape[1:])) if len(dataset) else 0
-        writer.writerow([f"p{i}" for i in range(n_pixels)] + ["label"])
-        for x, y in zip(dataset.inputs, dataset.labels):
-            writer.writerow(list(x.reshape(-1)) + [int(y)])
+        fh.write(",".join([f"p{i}" for i in range(n_pixels)] + ["label"])
+                 + "\r\n")
+        for x, y in zip(dataset.inputs.reshape(len(dataset), n_pixels),
+                        dataset.labels.tolist()):
+            fh.write(f"{','.join(map(repr, x.tolist()))},{y}\r\n")

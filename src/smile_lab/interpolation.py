@@ -9,6 +9,7 @@ normalized by the anchor-output distance.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
@@ -82,6 +83,19 @@ def normalized_interp_distance(y_it: np.ndarray, y1: np.ndarray,
     return numer / denom
 
 
+def _mix_rows(x_a: np.ndarray, x_b: np.ndarray, coefs) -> np.ndarray:
+    """np.stack([mix(x_a, x_b, c) for c in coefs]) in one broadcast."""
+    c = np.array(coefs).reshape((-1,) + (1,) * x_a.ndim)
+    batch = (1.0 - c) * x_a + c * x_b
+    # mix copies an endpoint input, which keeps the sign of a zero pixel
+    for row, coef in enumerate(coefs):
+        if coef == 0.0:
+            batch[row] = x_a
+        elif coef == 1.0:
+            batch[row] = x_b
+    return batch
+
+
 def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
                 dataset, config: ILConfig,
                 rng: np.random.Generator | None = None) -> ILReport:
@@ -107,17 +121,19 @@ def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
             d2 = float(rng.uniform(config.delta_low, config.delta_high))
             lams = [float(rng.uniform(0.0, 1.0))
                     for _ in range(config.n_lambda_draws)]
-            mids = [lam * d1 + (1.0 - lam) * d2 for lam in lams]
-            batch = np.stack([mix(x_a, x_b, d1), mix(x_a, x_b, d2)]
-                             + [mix(x_a, x_b, m) for m in mids])
-            outs = model_fn(batch)
+            coefs = [d1, d2] + [lam * d1 + (1.0 - lam) * d2 for lam in lams]
+            outs = np.asarray(model_fn(_mix_rows(x_a, x_b, coefs)),
+                              dtype=np.float64)
             y1, y2 = outs[0], outs[1]
-            for idx, lam in enumerate(lams):
-                try:
-                    ratios.append(normalized_interp_distance(
-                        outs[2 + idx], y1, y2, lam, config.denom_epsilon))
-                except DegeneratePair:
-                    n_degenerate += 1
+            # normalized_interp_distance, with the anchor distance once
+            denom = float(np.linalg.norm(y1 - y2))
+            if denom < config.denom_epsilon:
+                n_degenerate += len(lams)
+                continue
+            for y_it, lam in zip(outs[2:], lams, strict=True):
+                numer = float(np.linalg.norm(
+                    y_it - (lam * y1 + (1.0 - lam) * y2)))
+                ratios.append(numer / denom)
     if not ratios:
         raise AllDrawsDegenerate("every sampled pair had coincident outputs")
     arr = np.array(ratios)
@@ -126,12 +142,29 @@ def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
 
 
 def model_output_fn(weights: model.ModelWeights, layer: str):
-    """Batch->outputs closure for estimate_IL over trained weights."""
+    """Batch->outputs closure for estimate_IL over trained weights.
+
+    The feature closure keeps each batch's features, read-only, under the
+    sha256 of the batch for as long as the closure lives: the label and
+    feature estimates of one seed draw the same batches, so logits taken
+    as ``model.head_logits`` of this closure's output cost no second
+    feature extraction.
+    """
     if layer == "feature":
-        return lambda x: model.feature_extract(x, weights)
-    if weights.has_target_head:
-        return lambda x: model.target_logits(x, weights)
-    return lambda x: model.source_logits(x, weights)
+        cache = {}
+
+        def features(x: np.ndarray) -> np.ndarray:
+            x = np.ascontiguousarray(x)
+            key = (x.shape, x.dtype.str, hashlib.sha256(x).digest())
+            if key not in cache:
+                feats = model.feature_extract(x, weights)
+                feats.setflags(write=False)
+                cache[key] = feats
+            return cache[key]
+
+        return features
+    return lambda x: model.head_logits(model.feature_extract(x, weights),
+                                       weights)
 
 
 def pca_2d(points: np.ndarray):

@@ -154,6 +154,12 @@ def feature_extract(x: np.ndarray, weights: ModelWeights) -> np.ndarray:
     return np.maximum(pooled @ p["proj_w"] + p["proj_b"], 0.0)
 
 
+def head_logits(feats: np.ndarray, weights: ModelWeights) -> np.ndarray:
+    """Logits of the target head, or of the source head when there is none."""
+    prefix = "tgt" if weights.has_target_head else "src"
+    return feats @ weights.params[f"{prefix}_w"] + weights.params[f"{prefix}_b"]
+
+
 def target_logits(x: np.ndarray, weights: ModelWeights) -> np.ndarray:
     feats = feature_extract(x, weights)
     return feats @ weights.params["tgt_w"] + weights.params["tgt_b"]

@@ -19,7 +19,7 @@ class NonFiniteError(FloatingPointError):
     """A primitive produced (or was fed) NaN or Inf."""
 
 
-def _check_finite(values: np.ndarray, context: str) -> None:
+def check_finite(values: np.ndarray, context: str) -> None:
     # sum() is finite iff every element is (inf+inf stays inf, inf-inf -> nan)
     if not np.isfinite(values.sum()):
         raise NonFiniteError(f"non-finite values in {context}")
@@ -41,8 +41,8 @@ class Tensor:
                  backward: Callable[[np.ndarray], None] | None = None,
                  requires_grad: bool = True):
         self.values = np.asarray(values, dtype=np.float64)
-        _check_finite(self.values, "primitive output" if parents
-                      else "tensor construction")
+        check_finite(self.values, "primitive output" if parents
+                     else "tensor construction")
         self.grad: np.ndarray | None = None
         self.node_id = next(_node_counter)
         self._parents = tuple(parents)
@@ -334,7 +334,7 @@ def sgd_step(params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray],
         raise ValueError("lr must be positive")
     for name, param in params.items():
         g = grads[name]
-        _check_finite(g, f"gradient of {name}")
+        check_finite(g, f"gradient of {name}")
         v = state.get(name)
         if v is None:
             v = np.zeros_like(param)

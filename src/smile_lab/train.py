@@ -128,7 +128,9 @@ def accuracy(weights: model.ModelWeights, dataset: Dataset,
     for start in range(0, len(dataset), batch_size):
         x = dataset.inputs[start:start + batch_size]
         y = dataset.labels[start:start + batch_size]
-        correct += int((logits_fn(x, weights).argmax(axis=1) == y).sum())
+        logits = logits_fn(x, weights)
+        T.check_finite(logits, "evaluation logits")
+        correct += int((logits.argmax(axis=1) == y).sum())
     return correct / len(dataset)
 
 
@@ -145,10 +147,11 @@ def _collect_grads(tensors: Dict[str, T.Tensor]) -> Dict[str, np.ndarray]:
 
 
 @contextlib.contextmanager
-def _diverges_at(k: int, phase: str):
-    """Re-raise a NonFiniteError from one training step as TrainingDiverged.
+def diverges_at(k: int, phase: str):
+    """Re-raise a NonFiniteError from one training step, or from the
+    evaluation after iteration k, as TrainingDiverged.
 
-    numpy's overflow warnings are silenced inside the step: a non-finite
+    numpy's overflow warnings are silenced inside the block: a non-finite
     value reaches a finite check and becomes that one error instead.
     """
     try:
@@ -171,7 +174,7 @@ def pretrain_source(dataset: Dataset, config: PretrainConfig) -> model.ModelWeig
     rng = np.random.default_rng(config.seed)
     for k in range(1, config.iterations + 1):
         x, y = _sample_batch(dataset, config.batch_size, rng)
-        with _diverges_at(k, "pretraining"):
+        with diverges_at(k, "pretraining"):
             wt = model.as_tensors(weights)
             if config.use_mixup:
                 lam = sample_lambda(config.alpha, rng)
@@ -274,7 +277,7 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
             src_pairing = pair_batch(len(x_src), rng)
             if not config.shared_lambda:
                 lam = {"tgt": lam, "src": sample_lambda(config.alpha, rng)}
-        with _diverges_at(k, "training"):
+        with diverges_at(k, "training"):
             wt = model.as_tensors(student)
             if isinstance(lam, dict):
                 total, breakdown = _objective_two_lambdas(
@@ -304,10 +307,11 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
                                   or k == config.iterations):
             # the step's graph is dead; free it before the eval batches
             del wt, total, grads
-            row = {"iteration": k,
-                   "train_acc": accuracy(student, target_train)}
-            if target_test is not None:
-                row["test_acc"] = accuracy(student, target_test)
+            with diverges_at(k, "evaluation"):
+                row = {"iteration": k,
+                       "train_acc": accuracy(student, target_train)}
+                if target_test is not None:
+                    row["test_acc"] = accuracy(student, target_test)
             metrics.eval_rows.append(row)
     return student, metrics
 

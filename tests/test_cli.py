@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
-from smile_lab import cli, data, model
+from smile_lab import cli, data, interpolation, model, train
+from smile_lab.config import load_config
 
 
 FAST_YAML = """\
@@ -198,3 +200,72 @@ def test_output_dir_from_config(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert (tmp_path / "artifacts" / "source_train.bin").exists()
+
+
+def test_train_evaluation_blow_up_is_typed_error(workdir):
+    # the steps stay finite, the weights reach ~1e246, eval logits overflow
+    out, run = workdir
+    run("gen-data")
+    run("pretrain")
+    code, _, stderr = run("train", "train.mode=FT", "train.lr=1000000.0",
+                          "train.grad_clip=0.0")
+    _assert_diverged(code, stderr)
+    assert "evaluation" in json.loads(stderr)["detail"]
+    assert not (out / "student_FT.ckpt").exists()
+    assert not (out / "metrics_FT.csv").exists()
+
+
+def test_pretrain_evaluation_blow_up_is_typed_error(workdir, monkeypatch):
+    out, run = workdir
+    run("gen-data")
+    pretrain = train.pretrain_source
+
+    def blown_up(dataset, config):
+        weights = pretrain(dataset, config)
+        for name in weights.params:
+            weights.params[name] *= 1e120
+        return weights
+
+    monkeypatch.setattr(train, "pretrain_source", blown_up)
+    code, _, stderr = run("pretrain")
+    _assert_diverged(code, stderr)
+    assert "evaluation" in json.loads(stderr)["detail"]
+    assert not (out / "pretrained.ckpt").exists()
+
+
+def test_train_reports_last_evaluation(workdir, monkeypatch):
+    out, run = workdir
+    run("gen-data")
+    run("pretrain")
+    calls = []
+    accuracy = train.accuracy
+    monkeypatch.setattr(train, "accuracy",
+                        lambda *a, **k: calls.append(1) or accuracy(*a, **k))
+    code, stdout, _ = run("train", "train.mode=FT", "train.eval_every=4")
+    assert code == 0
+    # evaluations after iterations 4 and 6, on train and test sets
+    assert len(calls) == 4
+    last = (out / "metrics_FT.csv").read_text().splitlines()[-1].split(",")
+    assert f"test accuracy {float(last[-1]):.4f}" in stdout
+
+
+@pytest.mark.parametrize("checkpoint", [None, "pretrained.ckpt"])
+def test_diagnose_matches_independent_estimates(workdir, tmp_path, checkpoint):
+    out, run = workdir
+    run("gen-data")
+    run("pretrain")
+    run("train", "train.mode=FT")
+    argv = ["--checkpoint", str(out / checkpoint)] if checkpoint else []
+    code, _, _ = run("diagnose", "train.mode=FT", *argv)
+    assert code == 0
+    report = json.loads((out / "il_report.json").read_text())
+    weights = model.load_checkpoint(out / (checkpoint or "student_FT.ckpt"))
+    logits = (model.target_logits if weights.has_target_head
+              else model.source_logits)
+    target_test = data.load(out / "target_test.bin")
+    diagnostics = load_config(tmp_path / "exp.yaml").diagnostics
+    for layer, fn in (("label", lambda x: logits(x, weights)),
+                      ("feature", lambda x: model.feature_extract(x, weights))):
+        expected = interpolation.estimate_IL(
+            fn, target_test, dataclasses.replace(diagnostics, layer=layer))
+        assert report[layer] == json.loads(expected.to_json())

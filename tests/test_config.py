@@ -130,3 +130,33 @@ def test_step_settings_validated(override):
     key, _, value = rest.partition("=")
     with pytest.raises(ConfigError):
         build_config({section: {key: int(value)}})
+
+
+@pytest.mark.parametrize("override, value", [
+    ("train.lr=1e-3", 1e-3), ("train.lr=1.0e6", 1e6), ("train.lr=2E+2", 200.0),
+    ("train.gamma_fe=-.5e-1", -0.05), ("train.lr=3", 3.0),
+    ("subsample_rate=5e-1", 0.5)])
+def test_float_numerals_in_overrides(override, value):
+    cfg = apply_overrides(build_config({}), [override])
+    target = cfg
+    for part in override.partition("=")[0].split("."):
+        target = getattr(target, part)
+    assert target == value
+
+
+def test_exponent_float_in_yaml_file(tmp_path):
+    path = tmp_path / "exp.yaml"
+    path.write_text("subsample_rate: 5e-1\ntrain:\n  lr: 1e-3\n")
+    cfg = load_config(path)
+    assert cfg.train.lr == 1e-3
+    assert cfg.subsample_rate == 0.5
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lr", "abc"), ("lr", "1e"), ("lr", "1.2.3"), ("lr", "true"), ("lr", ""),
+    ("lr", "nan"), ("iterations", "1e3")])
+def test_non_numerals_rejected(key, value):
+    with pytest.raises(ConfigError):
+        apply_overrides(build_config({}), [f"train.{key}={value}"])
+    with pytest.raises(ConfigError):
+        build_config({"train": {key: value}})

@@ -144,3 +144,29 @@ def test_subsample_is_subset(rate_a, rate_b, seed):
     pool = {img.tobytes() for img in ds.inputs}
     assert all(img.tobytes() in pool for img in sub.inputs)
     assert all(img.tobytes() in pool for img in sub2.inputs)
+
+
+def _csv_writer_reference(dataset, path):
+    # the export as csv.writer writes it, over numpy scalars
+    import csv
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        n_pixels = int(np.prod(dataset.inputs.shape[1:])) if len(dataset) else 0
+        writer.writerow([f"p{i}" for i in range(n_pixels)] + ["label"])
+        for x, y in zip(dataset.inputs, dataset.labels):
+            writer.writerow(list(x.reshape(-1)) + [int(y)])
+
+
+@pytest.mark.parametrize("dataset", [
+    data.derive_target(data.TaskSpec(samples_per_class=2, seed=0)),
+    data.Dataset(np.array([0.0, 1.0, 1e-05, 5e-324, 0.30000000000000004,
+                           0.1, 2.5e-300, 0.9999999999999999])
+                 .reshape(2, 2, 2, 1), np.array([0, 3]), 4, "source"),
+    data.Dataset(np.zeros((0, 4, 4, 1)), np.zeros(0, dtype=np.int64), 2,
+                 "target"),
+], ids=["generated", "float-edge-cases", "empty"])
+def test_export_csv_matches_csv_writer(tmp_path, dataset):
+    data.export_csv(dataset, tmp_path / "fast.csv")
+    _csv_writer_reference(dataset, tmp_path / "reference.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "reference.csv").read_bytes()

@@ -235,3 +235,113 @@ def test_trajectory_csv(tmp_path, dataset):
     assert len(lines) == 1 + len(rows)
     first = lines[1].split(",")
     assert float(first[2]) == rows[0].x
+
+
+def _estimate_il_per_row(model_fn, dataset, config, rng):
+    """estimate_IL as one mix per row and one distance call per lambda."""
+    from smile_lab.mixup import mix
+    n = len(dataset)
+    ratios, n_degenerate = [], 0
+    for _ in range(config.n_pairs):
+        i = int(rng.integers(0, n))
+        j = int(rng.integers(0, n))
+        x_a, x_b = dataset.inputs[i], dataset.inputs[j]
+        for _ in range(config.n_delta_draws):
+            d1 = float(rng.uniform(config.delta_low, config.delta_high))
+            d2 = float(rng.uniform(config.delta_low, config.delta_high))
+            lams = [float(rng.uniform(0.0, 1.0))
+                    for _ in range(config.n_lambda_draws)]
+            mids = [lam * d1 + (1.0 - lam) * d2 for lam in lams]
+            batch = np.stack([mix(x_a, x_b, d1), mix(x_a, x_b, d2)]
+                             + [mix(x_a, x_b, m) for m in mids])
+            outs = model_fn(batch)
+            for idx, lam in enumerate(lams):
+                try:
+                    ratios.append(interp.normalized_interp_distance(
+                        outs[2 + idx], outs[0], outs[1], lam,
+                        config.denom_epsilon))
+                except interp.DegeneratePair:
+                    n_degenerate += 1
+    if not ratios:
+        raise interp.AllDrawsDegenerate("every sampled pair had coincident "
+                                        "outputs")
+    arr = np.array(ratios)
+    return interp.ILReport(float(arr.mean()), float(arr.std()), len(arr),
+                           n_degenerate, config)
+
+
+def _step_fn(x):
+    # piecewise constant: many anchor pairs coincide, some do not
+    return (x.reshape(len(x), -1)[:, :6] > 0.5).astype(np.float64)
+
+
+_WEIGHTS = model.init_weights(model.Architecture(), seed=3,
+                              with_target_head=True)
+
+
+@pytest.mark.parametrize("fn, cfg", [
+    (interp.model_output_fn(_WEIGHTS, "label"),
+     interp.ILConfig(n_pairs=15, seed=1)),
+    (interp.model_output_fn(_WEIGHTS, "feature"),
+     interp.ILConfig(layer="feature", n_pairs=15, seed=2)),
+    (_step_fn, interp.ILConfig(n_pairs=30, seed=4)),
+    (lambda x: np.tanh(_affine_fn(seed=5)(x)),
+     interp.ILConfig(delta_low=0.0, delta_high=1.0, n_pairs=20,
+                     n_lambda_draws=3, seed=6)),
+], ids=["label", "feature", "partly-degenerate", "full-delta-support"])
+def test_estimate_matches_per_row_loop(dataset, fn, cfg):
+    rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+    expected = _estimate_il_per_row(fn, dataset, cfg, rng_a)
+    assert interp.estimate_IL(fn, dataset, cfg, rng=rng_b) == expected
+    assert rng_b.bit_generator.state == rng_a.bit_generator.state
+    if fn is _step_fn:
+        assert expected.n_degenerate > 0 and expected.n_effective > 0
+
+
+def test_constant_model_matches_per_row_loop(dataset):
+    constant = lambda x: np.ones((x.shape[0], 4))
+    cfg = interp.ILConfig(n_pairs=3, seed=0)
+    rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
+    with pytest.raises(interp.AllDrawsDegenerate):
+        _estimate_il_per_row(constant, dataset, cfg, rng_a)
+    with pytest.raises(interp.AllDrawsDegenerate):
+        interp.estimate_IL(constant, dataset, cfg, rng=rng_b)
+    assert rng_b.bit_generator.state == rng_a.bit_generator.state
+
+
+def test_mix_rows_keeps_endpoint_bits():
+    from smile_lab.mixup import mix
+    x_a = np.array([[-0.0, 0.25], [1.0, -0.0]])[..., None]
+    x_b = np.array([[-2.0, -0.0], [0.5, 3.0]])[..., None]
+    coefs = [0.0, 1.0, 0.3, 0.0, 0.75]
+    expected = np.stack([mix(x_a, x_b, c) for c in coefs])
+    assert interp._mix_rows(x_a, x_b, coefs).tobytes() == expected.tobytes()
+
+
+def test_feature_fn_extracts_each_batch_once(dataset, monkeypatch):
+    calls = []
+    extract = model.feature_extract
+    monkeypatch.setattr(model, "feature_extract",
+                        lambda x, w: calls.append(len(x)) or extract(x, w))
+    fn = interp.model_output_fn(_WEIGHTS, "feature")
+    a, b = dataset.inputs[:6], dataset.inputs[6:12]
+    first = fn(a)
+    assert np.array_equal(first, extract(a, _WEIGHTS))
+    assert fn(a.copy()) is first
+    assert not first.flags.writeable
+    fn(b)
+    fn(a[:5])
+    assert calls == [6, 6, 5]
+    # a fresh closure keeps nothing from this one
+    interp.model_output_fn(_WEIGHTS, "feature")(a)
+    assert calls == [6, 6, 5, 6]
+
+
+def test_head_logits_match_model_logits(dataset):
+    x = dataset.inputs[:4]
+    feats = model.feature_extract(x, _WEIGHTS)
+    assert np.array_equal(model.head_logits(feats, _WEIGHTS),
+                          model.target_logits(x, _WEIGHTS))
+    _, teacher = model.init_from_pretrained(_WEIGHTS, seed=0)
+    assert np.array_equal(model.head_logits(feats, teacher),
+                          model.source_logits(x, teacher))
