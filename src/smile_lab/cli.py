@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -145,14 +146,7 @@ def cmd_diagnose(cfg: ExperimentConfig, args) -> None:
         source_name = str(ckpt)
     reports = {}
     for layer, fn in (("label", label_fn), ("feature", feature_fn)):
-        il_cfg = interpolation.ILConfig(
-            layer=layer, delta_low=cfg.diagnostics.delta_low,
-            delta_high=cfg.diagnostics.delta_high,
-            n_pairs=cfg.diagnostics.n_pairs,
-            n_delta_draws=cfg.diagnostics.n_delta_draws,
-            n_lambda_draws=cfg.diagnostics.n_lambda_draws,
-            denom_epsilon=cfg.diagnostics.denom_epsilon,
-            seed=cfg.diagnostics.seed)
+        il_cfg = dataclasses.replace(cfg.diagnostics, layer=layer)
         reports[layer] = interpolation.estimate_IL(fn, target_test, il_cfg)
     payload = {
         "model": source_name,

@@ -11,7 +11,7 @@ import yaml
 
 from .data import TaskSpec
 from .interpolation import ILConfig
-from .train import PretrainConfig, TrainConfig
+from .train import MODES, PretrainConfig, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -58,18 +58,15 @@ def _coerce(value, target_type, where: str):
     return value
 
 
-def _build_section(dc_cls, values: dict, where: str):
-    known = {f.name: f for f in fields(dc_cls)}
-    kwargs = {}
+def _fill(target, values: dict, prefix: str = "") -> None:
+    """Set fields of a config dataclass, coercing scalar values."""
+    types = {f.name: f.type for f in fields(target)}
     for key, val in values.items():
-        if key not in known:
-            raise ConfigError(f"unknown key {where}.{key}")
-        base = _SCALARS.get(known[key].type)
-        kwargs[key] = _coerce(val, base, f"{where}.{key}") if base else val
-    try:
-        return dc_cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid section {where}: {exc}") from exc
+        if key not in types:
+            raise ConfigError(f"unknown key {prefix}{key}")
+        base = _SCALARS.get(types[key])
+        setattr(target, key,
+                _coerce(val, base, prefix + key) if base else val)
 
 
 def load_config(path=None) -> ExperimentConfig:
@@ -84,34 +81,17 @@ def load_config(path=None) -> ExperimentConfig:
 
 def build_config(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    top_fields = {f.name: f.type for f in fields(ExperimentConfig)}
-    global_seed = raw.get("seed", cfg.seed)
-    for key, val in raw.items():
-        if key not in top_fields:
-            raise ConfigError(f"unknown key {key}")
-        if key in _SECTIONS:
-            if not isinstance(val, dict):
+    for key in _SECTIONS:
+        if key in raw:
+            if not isinstance(raw[key], dict):
                 raise ConfigError(f"section {key} must be a mapping")
-            section = _build_section(type(getattr(cfg, key)), val, key)
-            if "seed" not in val:
-                section.seed = global_seed
-            setattr(cfg, key, section)
-        else:
-            base = _SCALARS.get(top_fields[key])
-            setattr(cfg, key, _coerce(val, base, key) if base else val)
+            _fill(getattr(cfg, key), raw[key], f"{key}.")
+    _fill(cfg, {k: v for k, v in raw.items() if k not in _SECTIONS})
     if "seed" in raw:
         for name in _SECTIONS:
-            section_raw = raw.get(name) or {}
-            if "seed" not in section_raw:
-                getattr(cfg, name).seed = global_seed
-        cfg.seed = global_seed
-    if not 0 < cfg.subsample_rate <= 1:
-        raise ConfigError("subsample_rate must be in (0, 1]")
-    for mode in cfg.ablation_modes:
-        from .train import MODES
-        if mode not in MODES:
-            raise ConfigError(f"unknown ablation mode {mode!r}")
-    return cfg
+            if "seed" not in (raw.get(name) or {}):
+                getattr(cfg, name).seed = cfg.seed
+    return _validate(cfg)
 
 
 def apply_overrides(cfg: ExperimentConfig,
@@ -141,17 +121,26 @@ def apply_overrides(cfg: ExperimentConfig,
                 f"override {path!r}: expected {type(current).__name__}, "
                 f"got {value!r}")
         setattr(target, leaf, value)
-    # re-validate invariants enforced in __post_init__
+    return _validate(cfg)
+
+
+def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Re-run each section's __post_init__, then check the top-level fields."""
     for name in _SECTIONS:
-        section = getattr(cfg, name)
         try:
-            dataclasses.replace(section)
-        except ValueError as exc:
-            raise ConfigError(f"invalid {name} after overrides: {exc}") from exc
+            dataclasses.replace(getattr(cfg, name))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid {name}: {exc}") from exc
     if not 0 < cfg.subsample_rate <= 1:
         raise ConfigError("subsample_rate must be in (0, 1]")
-    from .train import MODES
+    for name, kind in (("output_dir", str), ("ablation_modes", list),
+                       ("ablation_seeds", list)):
+        if not isinstance(getattr(cfg, name), kind):
+            raise ConfigError(f"{name}: expected {kind.__name__}, "
+                              f"got {getattr(cfg, name)!r}")
     for mode in cfg.ablation_modes:
         if mode not in MODES:
             raise ConfigError(f"unknown ablation mode {mode!r}")
+    for seed in cfg.ablation_seeds:
+        _coerce(seed, int, "ablation_seeds")
     return cfg

@@ -41,6 +41,8 @@ class TaskSpec:
             raise ValueError("target class count must not exceed source")
         if self.noise_sigma < 0:
             raise ValueError("noise sigma must be >= 0")
+        if self.image_size < 1 or self.patch_size < 1:
+            raise ValueError("image size and patch size must be >= 1")
         if self.image_size % self.patch_size != 0:
             raise ValueError("patch size must divide image size")
 

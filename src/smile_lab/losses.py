@@ -54,8 +54,10 @@ def task_loss(x: np.ndarray, y: np.ndarray,
     return T.softmax_cross_entropy(logits, T.constant(one_hot(y, n_classes)))
 
 
-def _weighted_ce(logits: T.Tensor, y_i: np.ndarray, y_j: np.ndarray,
-                 n_classes: int, lam: float) -> T.Tensor:
+def mixed_ce(logits: T.Tensor, y_i: np.ndarray, y_j: np.ndarray,
+             n_classes: int, lam: float) -> T.Tensor:
+    """(1 - lam) * CE(logits, y_i) + lam * CE(logits, y_j), the mixup
+    cross-entropy; lam = 0 and lam = 1 compute a single CE."""
     loss_i = T.softmax_cross_entropy(logits, T.constant(one_hot(y_i, n_classes)))
     if lam == 0.0:
         return loss_i
@@ -70,19 +72,7 @@ def mixup_loss(x: np.ndarray, y: np.ndarray, student_t: Dict[str, T.Tensor],
     """Sample-to-label mixup: lam-weighted cross-entropy on mixed inputs."""
     x_mixed = mix(x, x[pairing], lam)
     logits = model.target_logits_t(x_mixed, student_t)
-    return _weighted_ce(logits, y, y[pairing], n_classes, lam)
-
-
-def feature_mixup_loss(x: np.ndarray, student_t: Dict[str, T.Tensor],
-                       teacher: model.ModelWeights, lam: float,
-                       pairing: np.ndarray) -> T.Tensor:
-    """Sample-to-feature mixup: student features on mixed inputs pulled
-    toward the mix of teacher features on the unmixed inputs."""
-    x_mixed = mix(x, x[pairing], lam)
-    student_feats = model.feature_extract_t(x_mixed, student_t)
-    teacher_feats = model.feature_extract(x, teacher)
-    target = mix(teacher_feats, teacher_feats[pairing], lam)
-    return _mean_row_sumsq(T.subtract(student_feats, T.constant(target)))
+    return mixed_ce(logits, y, y[pairing], n_classes, lam)
 
 
 def source_label_mixup_loss(x_src: np.ndarray, student_t: Dict[str, T.Tensor],
@@ -112,47 +102,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def triplet_loss(student_t: Dict[str, T.Tensor], teacher: model.ModelWeights,
-                 x_tgt: np.ndarray, y_tgt: np.ndarray,
-                 x_src: np.ndarray | None, n_target_classes: int,
-                 lam: float, tgt_pairing: np.ndarray,
-                 src_pairing: np.ndarray | None,
-                 weights: LossWeights,
-                 compare_space: str = "logits"):
-    """gamma_fe * L_fe + gamma_fc * L_fc + L_mxp, with per-term values.
-
-    Terms with zero weight are skipped entirely (they contribute neither to
-    the value nor the graph), which keeps reduced modes bit-identical to the
-    plain-mixup trainer.
-    """
-    if weights.fe > 0:
-        # one forward on the mixed batch feeds both the mixup CE and the
-        # feature term
-        x_mixed = mix(x_tgt, x_tgt[tgt_pairing], lam)
-        student_feats = model.feature_extract_t(x_mixed, student_t)
-        logits = T.add(T.matmul(student_feats, student_t["tgt_w"]),
-                       student_t["tgt_b"])
-        mxp = _weighted_ce(logits, y_tgt, y_tgt[tgt_pairing], n_target_classes,
-                           lam)
-        teacher_feats = model.feature_extract(x_tgt, teacher)
-        target = mix(teacher_feats, teacher_feats[tgt_pairing], lam)
-        fe = _mean_row_sumsq(T.subtract(student_feats, T.constant(target)))
-        parts = {"mxp": float(mxp.values), "fe": float(fe.values), "fc": 0.0}
-        total = T.add(mxp, T.scale(fe, weights.fe))
-    else:
-        total = mixup_loss(x_tgt, y_tgt, student_t, n_target_classes, lam,
-                           tgt_pairing)
-        parts = {"mxp": float(total.values), "fe": 0.0, "fc": 0.0}
-    if weights.fc > 0:
-        if x_src is None or src_pairing is None:
-            raise ValueError("source batch required when gamma_fc > 0")
-        fc = source_label_mixup_loss(x_src, student_t, teacher, lam,
-                                     src_pairing, compare_space)
-        parts["fc"] = float(fc.values)
-        total = T.add(total, T.scale(fc, weights.fc))
-    return total, parts
-
-
 def total_objective(student_t: Dict[str, T.Tensor],
                     teacher: model.ModelWeights | None,
                     x_tgt: np.ndarray, y_tgt: np.ndarray,
@@ -160,18 +109,43 @@ def total_objective(student_t: Dict[str, T.Tensor],
                     lam: float, tgt_pairing: np.ndarray,
                     src_pairing: np.ndarray | None,
                     weights: LossWeights, use_mixup: bool,
-                    compare_space: str = "logits"):
-    """Task cross-entropy plus (optionally) the triplet regularizer."""
+                    compare_space: str = "logits",
+                    lam_src: float | None = None):
+    """Task cross-entropy plus, with use_mixup, the triplet regularizer
+    L_mxp + gamma_fe * L_fe + gamma_fc * L_fc.
+
+    lam mixes the target batch and lam_src (default lam) the source batch.
+    Terms with zero weight are skipped entirely (they contribute neither to
+    the value nor the graph), which keeps reduced modes bit-identical to the
+    plain-mixup trainer.
+    """
     task = task_loss(x_tgt, y_tgt, student_t, n_target_classes)
     breakdown = LossBreakdown(task=float(task.values))
     total = task
     if use_mixup:
-        tri, parts = triplet_loss(student_t, teacher, x_tgt, y_tgt, x_src,
-                                  n_target_classes, lam, tgt_pairing,
-                                  src_pairing, weights, compare_space)
-        breakdown.mxp = parts["mxp"]
-        breakdown.fe = parts["fe"]
-        breakdown.fc = parts["fc"]
-        total = T.add(total, tri)
+        # one forward on the mixed batch feeds both the mixup CE and the
+        # feature term
+        x_mixed = mix(x_tgt, x_tgt[tgt_pairing], lam)
+        student_feats = model.feature_extract_t(x_mixed, student_t)
+        logits = T.add(T.matmul(student_feats, student_t["tgt_w"]),
+                       student_t["tgt_b"])
+        triplet = mixed_ce(logits, y_tgt, y_tgt[tgt_pairing],
+                           n_target_classes, lam)
+        breakdown.mxp = float(triplet.values)
+        if weights.fe > 0:
+            teacher_feats = model.feature_extract(x_tgt, teacher)
+            target = mix(teacher_feats, teacher_feats[tgt_pairing], lam)
+            fe = _mean_row_sumsq(T.subtract(student_feats, T.constant(target)))
+            breakdown.fe = float(fe.values)
+            triplet = T.add(triplet, T.scale(fe, weights.fe))
+        if weights.fc > 0:
+            if x_src is None or src_pairing is None:
+                raise ValueError("source batch required when gamma_fc > 0")
+            fc = source_label_mixup_loss(
+                x_src, student_t, teacher, lam if lam_src is None else lam_src,
+                src_pairing, compare_space)
+            breakdown.fc = float(fc.values)
+            triplet = T.add(triplet, T.scale(fc, weights.fc))
+        total = T.add(total, triplet)
     breakdown.total = float(total.values)
     return total, breakdown

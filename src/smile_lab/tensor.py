@@ -275,27 +275,6 @@ def softmax(logits: Tensor) -> Tensor:
     return Tensor(probs, (logits,), backward)
 
 
-_PRIMITIVES: Dict[str, Callable[..., Tensor]] = {
-    "softmax": softmax,
-    "add": add,
-    "subtract": subtract,
-    "multiply": multiply,
-    "matmul": matmul,
-    "conv2d": conv2d,
-    "relu": relu,
-    "mean": mean,
-    "sum_of_squares": sum_of_squares,
-    "softmax_cross_entropy": softmax_cross_entropy,
-}
-
-
-def apply_primitive(kind: str, *inputs: Tensor) -> Tensor:
-    """Dispatch by primitive name; same recording semantics as direct calls."""
-    if kind not in _PRIMITIVES:
-        raise ValueError(f"unknown primitive {kind!r}")
-    return _PRIMITIVES[kind](*inputs)
-
-
 def backward(root: Tensor) -> None:
     """Populate .grad of every node reachable from a scalar root."""
     if root.values.size != 1:

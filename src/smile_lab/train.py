@@ -12,7 +12,7 @@ import numpy as np
 
 from . import model, tensor as T
 from .data import Dataset
-from .losses import LossWeights, one_hot, total_objective
+from .losses import LossWeights, mixed_ce, total_objective
 from .mixup import mix, pair_batch, sample_lambda
 
 MODES = ("FT", "D-SMILE", "M-FE", "M-FC", "SMILE", "SMILE-noS", "SMILE-noT")
@@ -33,11 +33,13 @@ class TrainingDiverged(RuntimeError):
     """A training step produced NaN or Inf (loss, activation or gradient)."""
 
 
-def _check_step_settings(lr: float, batch_size: int) -> None:
+def _check_step_settings(lr: float, batch_size: int, alpha: float) -> None:
     if not lr > 0:
         raise ValueError("lr must be > 0")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if not alpha > 0:
+        raise ValueError("alpha must be > 0")
 
 
 @dataclass
@@ -66,7 +68,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_step_settings(self.lr, self.batch_size)
+        _check_step_settings(self.lr, self.batch_size, self.alpha)
         if self.iterations <= 0:
             raise ValueError("iterations must be > 0")
         if self.teacher_period < 1:
@@ -75,6 +77,12 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.teacher_update not in ("periodic-copy", "ema"):
             raise ValueError(f"unknown teacher update {self.teacher_update!r}")
+        if not 0.0 <= self.ema_decay <= 1.0:
+            raise ValueError("ema_decay must be in [0, 1]")
+        if self.compare_space not in ("logits", "probs"):
+            raise ValueError(f"unknown compare space {self.compare_space!r}")
+        if not self.grad_clip >= 0:
+            raise ValueError("grad_clip must be >= 0")
 
 
 @dataclass
@@ -92,7 +100,7 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_step_settings(self.lr, self.batch_size)
+        _check_step_settings(self.lr, self.batch_size, self.alpha)
 
 
 @dataclass
@@ -179,19 +187,11 @@ def pretrain_source(dataset: Dataset, config: PretrainConfig) -> model.ModelWeig
             if config.use_mixup:
                 lam = sample_lambda(config.alpha, rng)
                 pairing = pair_batch(len(x), rng)
-                logits = model.source_logits_t(mix(x, x[pairing], lam), wt)
-                loss = T.add(
-                    T.scale(T.softmax_cross_entropy(
-                        logits, T.constant(one_hot(y, dataset.n_classes))),
-                        1.0 - lam),
-                    T.scale(T.softmax_cross_entropy(
-                        logits,
-                        T.constant(one_hot(y[pairing], dataset.n_classes))),
-                        lam))
+                x, y_j = mix(x, x[pairing], lam), y[pairing]
             else:
-                logits = model.source_logits_t(x, wt)
-                loss = T.softmax_cross_entropy(
-                    logits, T.constant(one_hot(y, dataset.n_classes)))
+                lam, y_j = 0.0, y
+            loss = mixed_ce(model.source_logits_t(x, wt), y, y_j,
+                            dataset.n_classes, lam)
             T.backward(loss)
             T.sgd_step(weights.params, _collect_grads(wt), state, config.lr,
                        config.momentum, config.weight_decay)
@@ -267,7 +267,7 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
         lr = learning_rate_at(k, config)
 
         x, y = _sample_batch(target_train, config.batch_size, rng)
-        lam = tgt_pairing = None
+        lam = tgt_pairing = lam_src = None
         x_src = src_pairing = None
         if use_mixup:
             lam = sample_lambda(config.alpha, rng)
@@ -276,17 +276,13 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
             x_src, _ = _sample_batch(source_train, config.batch_size, rng)
             src_pairing = pair_batch(len(x_src), rng)
             if not config.shared_lambda:
-                lam = {"tgt": lam, "src": sample_lambda(config.alpha, rng)}
+                lam_src = sample_lambda(config.alpha, rng)
         with diverges_at(k, "training"):
             wt = model.as_tensors(student)
-            if isinstance(lam, dict):
-                total, breakdown = _objective_two_lambdas(
-                    wt, teacher, x, y, x_src, n_tgt_classes, lam, tgt_pairing,
-                    src_pairing, eff_weights, config.compare_space)
-            else:
-                total, breakdown = total_objective(
-                    wt, teacher, x, y, x_src, n_tgt_classes, lam, tgt_pairing,
-                    src_pairing, eff_weights, use_mixup, config.compare_space)
+            total, breakdown = total_objective(
+                wt, teacher, x, y, x_src, n_tgt_classes, lam, tgt_pairing,
+                src_pairing, eff_weights, use_mixup, config.compare_space,
+                lam_src)
             T.backward(total)
             grads = _collect_grads(wt)
             if config.grad_clip:
@@ -314,21 +310,6 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
                     row["test_acc"] = accuracy(student, target_test)
             metrics.eval_rows.append(row)
     return student, metrics
-
-
-def _objective_two_lambdas(wt, teacher, x, y, x_src, n_classes, lams,
-                           tgt_pairing, src_pairing, weights, compare_space):
-    """Per-term lambda variant (shared_lambda=False with a source term)."""
-    from . import losses
-    total, breakdown = total_objective(
-        wt, teacher, x, y, None, n_classes, lams["tgt"], tgt_pairing, None,
-        LossWeights(fe=weights.fe, fc=0.0), True, compare_space)
-    fc = losses.source_label_mixup_loss(x_src, wt, teacher, lams["src"],
-                                        src_pairing, compare_space)
-    breakdown.fc = float(fc.values)
-    total = T.add(total, T.scale(fc, weights.fc))
-    breakdown.total = float(total.values)
-    return total, breakdown
 
 
 @dataclass

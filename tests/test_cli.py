@@ -190,6 +190,23 @@ def test_bad_config_value(workdir):
     assert json.loads(stderr)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("old, new", [
+    ("subsample_rate: 0.5", "subsample_rate: 0.5\noutput_dir: 5"),
+    ("ablation_seeds: [0, 1]", "ablation_seeds: [0, x]")])
+def test_bad_top_level_config_value(tmp_path, monkeypatch, capsys, old, new):
+    # no output directory from the environment: the config's own is used
+    monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(FAST_YAML.replace(old, new))
+    code = cli.main(["-c", str(cfg_path), "gen-data"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.yaml"]
+
+
 def test_output_dir_from_config(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
     monkeypatch.chdir(tmp_path)

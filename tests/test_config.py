@@ -132,6 +132,38 @@ def test_step_settings_validated(override):
         build_config({section: {key: int(value)}})
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("task", "patch_size", 0), ("task", "image_size", 0),
+    ("train", "grad_clip", -1.0), ("train", "ema_decay", 5.0),
+    ("train", "ema_decay", -0.5), ("train", "compare_space", "bogus"),
+    ("train", "alpha", 0.0), ("train", "alpha", -1.0),
+    ("pretrain", "alpha", 0.0)])
+def test_field_values_validated(section, key, value):
+    with pytest.raises(ConfigError):
+        apply_overrides(build_config({}), [f"{section}.{key}={value}"])
+    with pytest.raises(ConfigError):
+        build_config({section: {key: value}})
+
+
+@pytest.mark.parametrize("key, value, override", [
+    ("output_dir", 5, "output_dir=5"),
+    ("ablation_seeds", [0, "x"], "ablation_seeds=[0, x]"),
+    ("ablation_seeds", [0, True], "ablation_seeds=[0, true]"),
+    ("ablation_seeds", 3, "ablation_seeds=3"),
+    ("ablation_modes", "FT", "ablation_modes=FT")])
+def test_top_level_types_validated(key, value, override):
+    with pytest.raises(ConfigError):
+        build_config({key: value})
+    with pytest.raises(ConfigError):
+        apply_overrides(build_config({}), [override])
+
+
+@pytest.mark.parametrize("override", ["train=5", "task={image_size: 8}"])
+def test_whole_section_override_rejected(override):
+    with pytest.raises(ConfigError):
+        apply_overrides(build_config({}), [override])
+
+
 @pytest.mark.parametrize("override, value", [
     ("train.lr=1e-3", 1e-3), ("train.lr=1.0e6", 1e6), ("train.lr=2E+2", 200.0),
     ("train.gamma_fe=-.5e-1", -0.05), ("train.lr=3", 3.0),

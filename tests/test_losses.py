@@ -80,25 +80,32 @@ def test_mixup_loss_matches_weighted_ce_oracle(student):
     assert float(out.values) == pytest.approx(expected, abs=1e-10)
 
 
+def _feature_term_oracle(student, teacher, lam):
+    s_feats = model.feature_extract(mix(X, X[PAIR], lam), student)
+    t_feats = model.feature_extract(X, teacher)
+    target = mix(t_feats, t_feats[PAIR], lam)
+    return float(np.mean(np.sum((s_feats - target) ** 2, axis=1)))
+
+
 def test_feature_mixup_loss_zero_when_teacher_matches(student):
     # lam 0 keeps inputs unmixed, so identical weights give a zero residual
     wt = model.as_tensors(student)
-    out = losses.feature_mixup_loss(X, wt, student, lam=0.0, pairing=PAIR)
-    assert float(out.values) == 0.0
+    _, bd = losses.total_objective(wt, student, X, Y, None, 5, 0.0, PAIR,
+                                   None, losses.LossWeights(fe=1.0, fc=0.0),
+                                   True)
+    assert bd.fe == 0.0
 
 
 def test_feature_mixup_loss_numpy_oracle(student):
     teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
     lam = 0.5
-    x_mixed = mix(X, X[PAIR], lam)
-    s_feats = model.feature_extract(x_mixed, student)
-    t_feats = model.feature_extract(X, teacher)
-    target = mix(t_feats, t_feats[PAIR], lam)
-    expected = float(np.mean(np.sum((s_feats - target) ** 2, axis=1)))
+    expected = _feature_term_oracle(student, teacher, lam)
 
     wt = model.as_tensors(student)
-    out = losses.feature_mixup_loss(X, wt, teacher, lam=lam, pairing=PAIR)
-    assert float(out.values) == pytest.approx(expected, rel=1e-12)
+    _, bd = losses.total_objective(wt, teacher, X, Y, None, 5, lam, PAIR,
+                                   None, losses.LossWeights(fe=1.0, fc=0.0),
+                                   True)
+    assert bd.fe == pytest.approx(expected, rel=1e-12)
 
 
 def test_source_label_mixup_loss_numpy_oracle(student):
@@ -136,36 +143,42 @@ def test_triplet_loss_weight_scaling(student):
     teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
     lam = 0.5
     wt = model.as_tensors(student)
+    task = float(losses.task_loss(X, Y, wt, 5).values)
     mxp = float(losses.mixup_loss(X, Y, wt, 5, lam, PAIR).values)
-    fe = float(losses.feature_mixup_loss(X, wt, teacher, lam, PAIR).values)
+    fe = _feature_term_oracle(student, teacher, lam)
     fc = float(losses.source_label_mixup_loss(X_SRC, wt, teacher, lam,
                                               PAIR).values)
     for w in (losses.LossWeights(fe=0.01, fc=0.1),
               losses.LossWeights(fe=1.0, fc=0.0),
               losses.LossWeights(fe=0.0, fc=2.5)):
-        total, parts = losses.triplet_loss(wt, teacher, X, Y, X_SRC, 5, lam,
-                                           PAIR, PAIR, w)
-        expected = mxp + w.fe * fe + w.fc * fc
+        total, bd = losses.total_objective(model.as_tensors(student), teacher,
+                                           X, Y, X_SRC, 5, lam, PAIR, PAIR, w,
+                                           True)
+        expected = task + mxp + w.fe * fe + w.fc * fc
         assert float(total.values) == pytest.approx(expected, rel=1e-12)
-        assert parts["mxp"] == pytest.approx(mxp, rel=1e-12)
+        assert bd.mxp == mxp
+        assert bd.fe == (pytest.approx(fe, rel=1e-12) if w.fe else 0.0)
+        assert bd.fc == (fc if w.fc else 0.0)
 
 
 def test_triplet_loss_zero_weights_reduces_to_mixup(student):
     teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
     wt = model.as_tensors(student)
-    total, parts = losses.triplet_loss(wt, teacher, X, Y, None, 5, 0.5, PAIR,
-                                       None, losses.LossWeights(fe=0.0, fc=0.0))
+    total, bd = losses.total_objective(wt, teacher, X, Y, None, 5, 0.5, PAIR,
+                                       None, losses.LossWeights(fe=0.0, fc=0.0),
+                                       True)
     plain = losses.mixup_loss(X, Y, wt, 5, 0.5, PAIR)
-    assert float(total.values) == float(plain.values)
-    assert parts["fe"] == 0.0 and parts["fc"] == 0.0
+    assert bd.mxp == float(plain.values)
+    assert float(total.values) == bd.task + bd.mxp
+    assert bd.fe == 0.0 and bd.fc == 0.0
 
 
 def test_triplet_loss_requires_source_batch(student):
     teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
     wt = model.as_tensors(student)
     with pytest.raises(ValueError):
-        losses.triplet_loss(wt, teacher, X, Y, None, 5, 0.5, PAIR, None,
-                            losses.LossWeights(fe=0.0, fc=0.1))
+        losses.total_objective(wt, teacher, X, Y, None, 5, 0.5, PAIR, None,
+                               losses.LossWeights(fe=0.0, fc=0.1), True)
 
 
 def test_teacher_receives_no_gradient(student):
@@ -198,3 +211,70 @@ def test_total_objective_without_mixup(student):
     plain = losses.task_loss(X, Y, wt, 5)
     assert float(total.values) == float(plain.values)
     assert bd.mxp == 0.0 and bd.fe == 0.0 and bd.fc == 0.0
+
+
+def _objective_two_lambdas_reference(wt, teacher, x, y, x_src, n_classes,
+                                     lams, tgt_pairing, src_pairing, weights,
+                                     compare_space):
+    """The composition the trainer used for separate target and source
+    lambdas before total_objective took lam_src: the target terms first,
+    then the source term added on top."""
+    total, breakdown = losses.total_objective(
+        wt, teacher, x, y, None, n_classes, lams["tgt"], tgt_pairing, None,
+        losses.LossWeights(fe=weights.fe, fc=0.0), True, compare_space)
+    fc = losses.source_label_mixup_loss(x_src, wt, teacher, lams["src"],
+                                        src_pairing, compare_space)
+    breakdown.fc = float(fc.values)
+    total = T.add(total, T.scale(fc, weights.fc))
+    breakdown.total = float(total.values)
+    return total, breakdown
+
+
+def _grads(wt):
+    return {n: t.grad for n, t in wt.items()}
+
+
+@pytest.mark.parametrize("compare_space", ["logits", "probs"])
+@pytest.mark.parametrize("fe", [0.01, 0.0])
+def test_lam_src_matches_two_lambda_composition(student, compare_space, fe):
+    teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
+    weights = losses.LossWeights(fe=fe, fc=0.1)
+    src_pair = np.array([5, 0, 1, 2, 3, 4])
+    wt_ref = model.as_tensors(student)
+    ref_total, ref = _objective_two_lambdas_reference(
+        wt_ref, teacher, X, Y, X_SRC, 5, {"tgt": 0.3, "src": 0.8}, PAIR,
+        src_pair, weights, compare_space)
+    T.backward(ref_total)
+    wt = model.as_tensors(student)
+    total, bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.3, PAIR,
+                                       src_pair, weights, True, compare_space,
+                                       lam_src=0.8)
+    T.backward(total)
+
+    ref_grads, grads = _grads(wt_ref), _grads(wt)
+    assert ref_grads.keys() == grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+    assert (bd.task, bd.mxp, bd.fe, bd.fc) == (ref.task, ref.mxp, ref.fe,
+                                               ref.fc)
+    # task + (triplet + fc) against (task + triplet) + fc: each grouping
+    # rounds twice, so they differ by at most a few ulp of the term sum
+    terms = abs(bd.task) + abs(bd.mxp) + weights.fe * bd.fe + weights.fc * bd.fc
+    assert abs(bd.total - ref.total) <= 2 * np.finfo(float).eps * terms
+    assert float(total.values) == bd.total
+
+
+def test_lam_src_defaults_to_lam(student):
+    teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
+    runs = []
+    for lam_src in (None, 0.3):
+        wt = model.as_tensors(student)
+        total, bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.3,
+                                           PAIR, PAIR, losses.LossWeights(),
+                                           True, lam_src=lam_src)
+        T.backward(total)
+        runs.append((bd, _grads(wt)))
+    (bd_a, grads_a), (bd_b, grads_b) = runs
+    assert bd_a == bd_b
+    for name in grads_a:
+        assert np.array_equal(grads_a[name], grads_b[name])

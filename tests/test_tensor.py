@@ -217,13 +217,6 @@ def test_conv2d_input_gradient_multichannel(x_shape, k, cout):
               rng.normal(size=x_shape))
 
 
-def test_apply_primitive_dispatch():
-    out = T.apply_primitive("add", T.Tensor([1.0]), T.Tensor([2.0]))
-    assert out.values == pytest.approx([3.0])
-    with pytest.raises(ValueError):
-        T.apply_primitive("nope", T.Tensor([1.0]))
-
-
 def test_non_finite_raises():
     with pytest.raises(T.NonFiniteError):
         T.Tensor([np.inf])

@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from smile_lab import data, model, train
+from smile_lab import data, losses, model, train
+from smile_lab import tensor as T
+from smile_lab.mixup import mix, pair_batch, sample_lambda
 
 
 SPEC = data.TaskSpec(samples_per_class=8, seed=0)
@@ -212,6 +214,67 @@ def test_pretrain_rejects_empty():
                          20, "source")
     with pytest.raises(ValueError):
         train.pretrain_source(empty, train.PretrainConfig(iterations=5))
+
+
+def _pretrain_source_reference(dataset, config):
+    """pretrain_source as it was before it called losses.mixed_ce, with the
+    mixup cross-entropy written out inline; also returns each step's
+    gradients."""
+    h, w, c = dataset.inputs.shape[1:]
+    arch = model.Architecture(image_size=h, channels=c,
+                              n_source_classes=dataset.n_classes)
+    weights = model.init_weights(arch, config.seed)
+    state, steps = {}, []
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.iterations):
+        x, y = train._sample_batch(dataset, config.batch_size, rng)
+        wt = model.as_tensors(weights)
+        if config.use_mixup:
+            lam = sample_lambda(config.alpha, rng)
+            pairing = pair_batch(len(x), rng)
+            logits = model.source_logits_t(mix(x, x[pairing], lam), wt)
+            loss = T.add(
+                T.scale(T.softmax_cross_entropy(
+                    logits, T.constant(losses.one_hot(y, dataset.n_classes))),
+                    1.0 - lam),
+                T.scale(T.softmax_cross_entropy(
+                    logits,
+                    T.constant(losses.one_hot(y[pairing], dataset.n_classes))),
+                    lam))
+        else:
+            logits = model.source_logits_t(x, wt)
+            loss = T.softmax_cross_entropy(
+                logits, T.constant(losses.one_hot(y, dataset.n_classes)))
+        T.backward(loss)
+        grads = train._collect_grads(wt)
+        steps.append(grads)
+        T.sgd_step(weights.params, grads, state, config.lr,
+                   config.momentum, config.weight_decay)
+    return weights, steps
+
+
+@pytest.mark.parametrize("use_mixup", [True, False])
+def test_pretrain_matches_inline_loss_reference(monkeypatch, use_mixup):
+    src = data.generate_source(data.TaskSpec(samples_per_class=2, seed=0))
+    cfg = train.PretrainConfig(iterations=4, batch_size=8,
+                               use_mixup=use_mixup)
+    steps = []
+    sgd_step = T.sgd_step
+
+    def recording_sgd_step(params, grads, *args):
+        steps.append(grads)
+        sgd_step(params, grads, *args)
+
+    monkeypatch.setattr(T, "sgd_step", recording_sgd_step)
+    weights = train.pretrain_source(src, cfg)
+    monkeypatch.undo()
+    ref_weights, ref_steps = _pretrain_source_reference(src, cfg)
+    assert len(steps) == len(ref_steps) == cfg.iterations
+    for grads, ref in zip(steps, ref_steps):
+        assert grads.keys() == ref.keys()
+        for name in ref:
+            assert np.array_equal(grads[name], ref[name]), name
+    assert weights.equal(ref_weights)
 
 
 def test_pretrain_noise_free_source_is_learnable():
