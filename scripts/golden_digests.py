@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Print sha256 digests of the pipeline's artifacts at a small config.
 
-Runs gen-data --csv, pretrain, train for every fine-tuning mode, and
-diagnose through the CLI in a temporary directory, then prints one
+Runs gen-data --csv, pretrain, train for every fine-tuning mode, ablate
+and diagnose through the CLI in a temporary directory, then prints one
 ``<sha256>  <artifact>`` line for the four dataset CSVs, pretrained.ckpt,
-every student_*.ckpt and metrics_*.csv, and il_report.json. Two source
-trees that give the same lines compute the same bytes; a refactor that claims
-to change no arithmetic shows it by comparing this output before and after:
+every student_*.ckpt and metrics_*.csv, ablation_summary.csv and
+il_report.json. Two source trees that give the same lines compute the same
+bytes; a refactor that claims to change no arithmetic shows it by comparing
+this output before and after:
 
     PYTHONPATH=src python3 scripts/golden_digests.py > after.txt
     PYTHONPATH=<checkout>/src python3 scripts/golden_digests.py > before.txt
@@ -37,6 +38,7 @@ train:
 diagnostics:
   n_pairs: 10
 subsample_rate: 0.5
+ablation_seeds: [0, 1]
 output_dir: out
 """
 
@@ -59,7 +61,7 @@ def main() -> int:
             Path("exp.yaml").write_text(CONFIG)
             steps = [["gen-data", "--csv"], ["pretrain"]]
             steps += [["train", f"train.mode={mode}"] for mode in train.MODES]
-            steps.append(["diagnose", "train.mode=SMILE"])
+            steps += [["ablate"], ["diagnose", "train.mode=SMILE"]]
             for argv in steps:
                 # progress lines go to stderr; stdout carries only digests
                 with contextlib.redirect_stdout(sys.stderr):
@@ -68,7 +70,8 @@ def main() -> int:
                     print(f"{' '.join(argv)} exited {code}", file=sys.stderr)
                     return code
             out = Path("out")
-            artifacts = [out / "pretrained.ckpt", out / "il_report.json"]
+            artifacts = [out / "pretrained.ckpt", out / "il_report.json",
+                         out / "ablation_summary.csv"]
             artifacts += out.glob("student_*.ckpt")
             artifacts += out.glob("metrics_*.csv")
             artifacts += [out / f"{name}.csv" for name in DATASETS]

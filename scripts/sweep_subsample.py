@@ -1,57 +1,49 @@
 #!/usr/bin/env python3
 """Sweep the target-data subsampling rate and compare fine-tuning modes.
 
-For each rate, trains every requested mode over the given seeds and prints
-a table of mean test accuracy, mirroring the low-data regime the method
-targets. Expects no prior artifacts; everything is computed in-process.
+For each rate, runs the ablation suite over the config's ``ablation_modes``
+and ``ablation_seeds`` and prints a table of mean test accuracy, mirroring
+the low-data regime the method targets. The config comes from ``-c`` and
+dotted overrides, as for ``smile-lab``; overrides come before ``--rates``.
+Everything is computed in-process:
 
-    python3 scripts/sweep_subsample.py --rates 0.15 0.3 0.5 --seeds 0 1 2
+    python3 scripts/sweep_subsample.py train.iterations=450 \\
+        "ablation_seeds=[0, 1, 2]" --rates 0.15 0.3 0.5
 """
 
 import argparse
 
-import numpy as np
-
 from smile_lab import data, train
+from smile_lab.config import load_config
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rates", type=float, nargs="+",
-                        default=[0.15, 0.3, 0.5])
-    parser.add_argument("--modes", nargs="+",
-                        default=["FT", "D-SMILE", "SMILE"])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    parser.add_argument("--iterations", type=int, default=450)
-    parser.add_argument("--pretrain-iterations", type=int, default=800)
-    parser.add_argument("--task-seed", type=int, default=0)
-    args = parser.parse_args()
+    parser.add_argument("-c", "--config", default=None,
+                        help="YAML experiment config")
+    parser.add_argument("overrides", nargs="*",
+                        help="dotted overrides, e.g. train.iterations=450")
+    parser.add_argument("--rates", type=float, nargs="+", required=True)
+    args = parser.parse_args(argv)
+    cfg = load_config(args.config, args.overrides)
 
-    spec = data.TaskSpec(seed=args.task_seed)
-    source = data.generate_source(spec)
-    target_full = data.derive_target(spec)
-    target_test = data.test_split(spec)
-    pretrained = train.pretrain_source(
-        source, train.PretrainConfig(iterations=args.pretrain_iterations,
-                                     seed=args.task_seed))
+    source = data.generate_source(cfg.task)
+    target_full = data.derive_target(cfg.task)
+    target_test = data.test_split(cfg.task)
+    pretrained = train.pretrain_source(source, cfg.pretrain)
     print(f"pretrained: source acc "
           f"{train.accuracy(pretrained, source, head='source'):.3f}")
 
-    header = ["rate"] + args.modes
+    header = ["rate"] + cfg.ablation_modes
     print("  ".join(f"{h:>10}" for h in header))
     for rate in args.rates:
         target_train = data.stratified_subsample(target_full, rate,
-                                                 seed=args.task_seed)
+                                                 cfg.task.seed)
+        _, summary = train.run_ablation_suite(
+            pretrained, target_train, target_test, source, cfg.train,
+            cfg.ablation_modes, cfg.ablation_seeds)
         cells = [f"{rate:>10.2f}"]
-        for mode in args.modes:
-            accs = []
-            for seed in args.seeds:
-                cfg = train.TrainConfig(iterations=args.iterations,
-                                        mode=mode, seed=seed, eval_every=0)
-                student, _ = train.train(pretrained, target_train, source,
-                                         cfg, target_test)
-                accs.append(train.accuracy(student, target_test))
-            cells.append(f"{np.mean(accs):>10.4f}")
+        cells += [f"{summary[mode][0]:>10.4f}" for mode in cfg.ablation_modes]
         print("  ".join(cells), flush=True)
 
 

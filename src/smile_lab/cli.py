@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, interpolation, model, train
-from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 
 ENV_OUTPUT_DIR = "SMILE_LAB_OUTPUT_DIR"
 
@@ -83,12 +83,7 @@ def cmd_train(cfg: ExperimentConfig, args) -> None:
     target_test = data.load(_require(paths["target_test"], "gen-data"))
     student, metrics = train.train(pretrained, target_train, source_train,
                                    cfg.train, target_test)
-    last = metrics.eval_rows[-1] if metrics.eval_rows else {}
-    if last.get("iteration") == cfg.train.iterations:
-        acc = last["test_acc"]
-    else:
-        with train.diverges_at(cfg.train.iterations, "evaluation"):
-            acc = train.accuracy(student, target_test)
+    acc = train.final_accuracy(student, metrics, target_test, cfg.train)
     mode = cfg.train.mode
     ckpt = out / f"student_{mode}.ckpt"
     model.save_checkpoint(student, ckpt)
@@ -233,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        apply_overrides(cfg, args.overrides)
+        cfg = load_config(args.config, args.overrides)
         _COMMANDS[args.command](cfg, args)
     except (ConfigError, FileNotFoundError, ValueError,
             model.CheckpointError, data.DatasetFormatError,

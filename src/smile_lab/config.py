@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass, field, fields
 from typing import List
@@ -45,16 +46,15 @@ _SCALARS = {"float": float, "int": int, "bool": bool}
 def _coerce(value, target_type, where: str):
     if target_type is float:
         if isinstance(value, str) and _FLOAT_NUMERAL.fullmatch(value):
-            return float(value)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}: expected float, got {value!r}")
+            value = float(value)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ConfigError(f"{where}: expected finite float, got {value!r}")
         return float(value)
-    if target_type is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}: expected int, got {value!r}")
-        return value
-    if target_type is bool and not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected bool, got {value!r}")
+    # exact types: YAML gives plain ints and bools, and a bool is an int
+    if target_type in (int, bool) and type(value) is not target_type:
+        raise ConfigError(
+            f"{where}: expected {target_type.__name__}, got {value!r}")
     return value
 
 
@@ -69,59 +69,57 @@ def _fill(target, values: dict, prefix: str = "") -> None:
                 _coerce(val, base, prefix + key) if base else val)
 
 
-def load_config(path=None) -> ExperimentConfig:
+def _parse_yaml(text, where: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def load_config(path=None, overrides=()) -> ExperimentConfig:
+    """The YAML file's mapping with the overrides folded in, built once."""
     raw = {}
     if path is not None:
         with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = _parse_yaml(fh, str(path)) or {}
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    return build_config(raw)
+    return build_config(apply_overrides(raw, overrides))
 
 
 def build_config(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
     for key in _SECTIONS:
-        if key in raw:
-            if not isinstance(raw[key], dict):
-                raise ConfigError(f"section {key} must be a mapping")
-            _fill(getattr(cfg, key), raw[key], f"{key}.")
+        values = raw.get(key, {})
+        if not isinstance(values, dict):
+            raise ConfigError(f"section {key} must be a mapping")
+        if "seed" in raw:  # the top-level seed, unless the section sets one
+            values = {"seed": raw["seed"], **values}
+        _fill(getattr(cfg, key), values, f"{key}.")
     _fill(cfg, {k: v for k, v in raw.items() if k not in _SECTIONS})
-    if "seed" in raw:
-        for name in _SECTIONS:
-            if "seed" not in (raw.get(name) or {}):
-                getattr(cfg, name).seed = cfg.seed
     return _validate(cfg)
 
 
-def apply_overrides(cfg: ExperimentConfig,
-                    overrides: List[str]) -> ExperimentConfig:
-    """Apply 'dotted.path=value' strings; values parsed as YAML scalars."""
+def apply_overrides(raw: dict, overrides: List[str]) -> dict:
+    """Fold 'key=value' and 'section.key=value' strings into a copy of a
+    config mapping, as if the file had set them; values parse as YAML."""
+    raw = dict(raw)
     for item in overrides:
-        if "=" not in item:
+        path, eq, text = item.partition("=")
+        if not eq:
             raise ConfigError(f"override {item!r} is not key=value")
-        path, _, raw_value = item.partition("=")
-        value = yaml.safe_load(raw_value)
-        parts = path.split(".")
-        target = cfg
-        for part in parts[:-1]:
-            if not hasattr(target, part):
-                raise ConfigError(f"unknown config path {path!r}")
-            target = getattr(target, part)
-        leaf = parts[-1]
-        if not dataclasses.is_dataclass(target) or not hasattr(target, leaf):
+        value = _parse_yaml(text, path)
+        head, dot, key = path.partition(".")
+        if not dot and head not in _SECTIONS:
+            raw[head] = value
+        elif dot and head in _SECTIONS and "." not in key:
+            section = raw.get(head, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"section {head} must be a mapping")
+            raw[head] = {**section, key: value}
+        else:
             raise ConfigError(f"unknown config path {path!r}")
-        current = getattr(target, leaf)
-        if type(current) in (float, int, bool):
-            value = _coerce(value, type(current), path)
-        if current is not None and value is not None \
-                and not isinstance(value, type(current)) \
-                and not dataclasses.is_dataclass(current):
-            raise ConfigError(
-                f"override {path!r}: expected {type(current).__name__}, "
-                f"got {value!r}")
-        setattr(target, leaf, value)
-    return _validate(cfg)
+    return raw
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:

@@ -37,6 +37,10 @@ class TaskSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.channels, self.samples_per_class,
+               self.n_target_classes) < 1:
+            raise ValueError("channels, samples_per_class and "
+                             "n_target_classes must be >= 1")
         if self.n_target_classes > self.n_source_classes:
             raise ValueError("target class count must not exceed source")
         if self.noise_sigma < 0:
@@ -141,10 +145,9 @@ def target_class_selection(spec: TaskSpec) -> np.ndarray:
     return rng.permutation(spec.n_source_classes)[:spec.n_target_classes]
 
 
-def derive_target(spec: TaskSpec, templates: np.ndarray | None = None) -> Dataset:
+def derive_target(spec: TaskSpec) -> Dataset:
     """Target task: distorted subset of source templates, relabeled 0..C_tgt-1."""
-    if templates is None:
-        templates = source_templates(spec)
+    templates = source_templates(spec)
     selected = target_class_selection(spec)
     distorted = np.stack([
         _distort(templates[c], spec.rotation_degrees, spec.contrast_shift)

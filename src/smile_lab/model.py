@@ -190,11 +190,6 @@ def init_from_pretrained(pretrained: ModelWeights, seed: int):
     return student, teacher
 
 
-def snapshot(weights: ModelWeights) -> ModelWeights:
-    """Mutation-independent deep copy (the teacher update)."""
-    return weights.copy()
-
-
 def save_checkpoint(weights: ModelWeights, path) -> None:
     arch_vals = weights.arch.as_tuple()
     names = sorted(weights.params)

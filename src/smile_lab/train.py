@@ -33,13 +33,17 @@ class TrainingDiverged(RuntimeError):
     """A training step produced NaN or Inf (loss, activation or gradient)."""
 
 
-def _check_step_settings(lr: float, batch_size: int, alpha: float) -> None:
-    if not lr > 0:
+def _check_step_settings(config) -> None:
+    if not config.lr > 0:
         raise ValueError("lr must be > 0")
-    if batch_size < 1:
+    if config.batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if not alpha > 0:
+    if not config.alpha > 0:
         raise ValueError("alpha must be > 0")
+    if not config.momentum >= 0:
+        raise ValueError("momentum must be >= 0")
+    if not config.weight_decay >= 0:
+        raise ValueError("weight_decay must be >= 0")
 
 
 @dataclass
@@ -68,7 +72,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_step_settings(self.lr, self.batch_size, self.alpha)
+        _check_step_settings(self)
         if self.iterations <= 0:
             raise ValueError("iterations must be > 0")
         if self.teacher_period < 1:
@@ -83,6 +87,12 @@ class TrainConfig:
             raise ValueError(f"unknown compare space {self.compare_space!r}")
         if not self.grad_clip >= 0:
             raise ValueError("grad_clip must be >= 0")
+        if not self.lr_drop_factor > 0:
+            raise ValueError("lr_drop_factor must be > 0")
+        if not self.lr_drop_fraction >= 0:
+            raise ValueError("lr_drop_fraction must be >= 0")
+        if self.eval_every < 0:
+            raise ValueError("eval_every must be >= 0")
 
 
 @dataclass
@@ -100,7 +110,7 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_step_settings(self.lr, self.batch_size, self.alpha)
+        _check_step_settings(self)
 
 
 @dataclass
@@ -312,6 +322,17 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
     return student, metrics
 
 
+def final_accuracy(student: model.ModelWeights, metrics: Metrics,
+                   target_test: Dataset, config: TrainConfig) -> float:
+    """Test accuracy after the last iteration: train()'s own evaluation of
+    that iteration if it made one, else one evaluation now."""
+    last = metrics.eval_rows[-1] if metrics.eval_rows else {}
+    if last.get("iteration") == config.iterations:
+        return last["test_acc"]
+    with diverges_at(config.iterations, "evaluation"):
+        return accuracy(student, target_test)
+
+
 @dataclass
 class AblationRow:
     mode: str
@@ -334,10 +355,11 @@ def run_ablation_suite(pretrained: model.ModelWeights, target_train: Dataset,
     for mode in modes:
         for seed in seeds:
             cfg = replace(base_config, mode=mode, seed=seed)
-            weights, _ = train(pretrained, target_train, source_train, cfg,
-                               target_test)
-            rows.append(AblationRow(mode, seed,
-                                    accuracy(weights, target_test)))
+            weights, metrics = train(pretrained, target_train, source_train,
+                                     cfg, target_test)
+            rows.append(AblationRow(
+                mode, seed,
+                final_accuracy(weights, metrics, target_test, cfg)))
     summary = {}
     for mode in modes:
         accs = np.array([r.test_accuracy for r in rows if r.mode == mode])

@@ -53,6 +53,26 @@ def test_gen_data_artifacts(workdir):
     assert len(sub) == 15
 
 
+def test_seed_override_writes_the_same_data_as_file_seed(
+        workdir, tmp_path, monkeypatch, capsys):
+    out, run = workdir
+    assert run("gen-data", "seed=5")[0] == 0
+    cfg_path = tmp_path / "seed5.yaml"
+    cfg_path.write_text(FAST_YAML.replace("seed: 0", "seed: 5"))
+    from_file = tmp_path / "from_file"
+    monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(from_file))
+    assert cli.main(["-c", str(cfg_path), "gen-data"]) == 0
+    capsys.readouterr()
+    names = [p.name for p in out.glob("*.bin")]
+    assert len(names) == 4
+    for name in names:
+        assert (out / name).read_bytes() == (from_file / name).read_bytes()
+    monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(tmp_path / "seed0"))
+    assert cli.main(["-c", str(tmp_path / "exp.yaml"), "gen-data"]) == 0
+    assert (tmp_path / "seed0" / "source_train.bin").read_bytes() \
+        != (out / "source_train.bin").read_bytes()
+
+
 def test_gen_data_csv_flag(workdir):
     out, run = workdir
     code, _, _ = run("gen-data", "--csv")
@@ -173,6 +193,19 @@ def test_train_divergence_is_typed_error(workdir):
     _assert_diverged(code, stderr)
     assert not list(out.glob("student_*.ckpt"))
     assert not list(out.glob("metrics_*.csv"))
+
+
+def test_ablate_divergence_is_typed_error(workdir):
+    # the steps stay finite; the final evaluation's logits overflow
+    out, run = workdir
+    run("gen-data")
+    run("pretrain")
+    code, _, stderr = run("ablate", "train.iterations=5", "train.lr=1000000.0",
+                          "train.grad_clip=0.0", "train.eval_every=0",
+                          "ablation_modes=[FT]")
+    _assert_diverged(code, stderr)
+    assert "evaluation" in json.loads(stderr)["detail"]
+    assert not (out / "ablation_summary.csv").exists()
 
 
 def test_pretrain_divergence_is_typed_error(workdir):

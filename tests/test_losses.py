@@ -33,7 +33,7 @@ def test_loss_weights_validation():
 
 def test_task_loss_uniform_logits(student):
     # zero input and a zeroed head give zero logits: CE is ln(n_classes)
-    student = model.snapshot(student)
+    student = student.copy()
     student.params["tgt_w"][:] = 0.0
     student.params["tgt_b"][:] = 0.0
     wt = model.as_tensors(student)
@@ -183,7 +183,7 @@ def test_triplet_loss_requires_source_batch(student):
 
 def test_teacher_receives_no_gradient(student):
     teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
-    before = model.snapshot(teacher)
+    before = teacher.copy()
     wt = model.as_tensors(student)
     total, _ = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.5, PAIR,
                                       PAIR, losses.LossWeights(), True)

