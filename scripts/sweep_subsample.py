@@ -31,8 +31,7 @@ def main(argv=None) -> None:
     target_full = data.derive_target(cfg.task)
     target_test = data.test_split(cfg.task)
     pretrained = train.pretrain_source(source, cfg.pretrain)
-    print(f"pretrained: source acc "
-          f"{train.accuracy(pretrained, source, head='source'):.3f}")
+    print(f"pretrained: source acc {train.accuracy(pretrained, source):.3f}")
 
     header = ["rate"] + cfg.ablation_modes
     print("  ".join(f"{h:>10}" for h in header))

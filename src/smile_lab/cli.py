@@ -66,21 +66,28 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> None:
                                 "gen-data"))
     weights = train.pretrain_source(source, cfg.pretrain)
     with train.diverges_at(cfg.pretrain.iterations, "evaluation"):
-        acc = train.accuracy(weights, source, head="source")
+        acc = train.accuracy(weights, source)
     ckpt = out / "pretrained.ckpt"
     model.save_checkpoint(weights, ckpt)
     print(f"pretrained {cfg.pretrain.iterations} iterations, "
           f"source train accuracy {acc:.4f}, checkpoint {ckpt}")
 
 
-def cmd_train(cfg: ExperimentConfig, args) -> None:
-    out = _out_dir(cfg)
+def _training_inputs(out: Path):
+    """The pretrained model and the target train, source train and target
+    test sets."""
     paths = _dataset_paths(out)
     pretrained = model.load_checkpoint(_require(out / "pretrained.ckpt",
                                                 "pretrain"))
-    target_train = data.load(_require(paths["target_train"], "gen-data"))
-    source_train = data.load(_require(paths["source_train"], "gen-data"))
-    target_test = data.load(_require(paths["target_test"], "gen-data"))
+    return (pretrained, *(data.load(_require(paths[name], "gen-data"))
+                          for name in ("target_train", "source_train",
+                                       "target_test")))
+
+
+def cmd_train(cfg: ExperimentConfig, args) -> None:
+    out = _out_dir(cfg)
+    pretrained, target_train, source_train, target_test = \
+        _training_inputs(out)
     student, metrics = train.train(pretrained, target_train, source_train,
                                    cfg.train, target_test)
     acc = train.final_accuracy(student, metrics, target_test, cfg.train)
@@ -95,12 +102,8 @@ def cmd_train(cfg: ExperimentConfig, args) -> None:
 
 def cmd_ablate(cfg: ExperimentConfig, args) -> None:
     out = _out_dir(cfg)
-    paths = _dataset_paths(out)
-    pretrained = model.load_checkpoint(_require(out / "pretrained.ckpt",
-                                                "pretrain"))
-    target_train = data.load(_require(paths["target_train"], "gen-data"))
-    source_train = data.load(_require(paths["source_train"], "gen-data"))
-    target_test = data.load(_require(paths["target_test"], "gen-data"))
+    pretrained, target_train, source_train, target_test = \
+        _training_inputs(out)
     rows, summary = train.run_ablation_suite(
         pretrained, target_train, target_test, source_train, cfg.train,
         cfg.ablation_modes, cfg.ablation_seeds)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
+import sys
 from dataclasses import dataclass, field, fields
 from typing import List
 
@@ -47,8 +47,10 @@ def _coerce(value, target_type, where: str):
     if target_type is float:
         if isinstance(value, str) and _FLOAT_NUMERAL.fullmatch(value):
             value = float(value)
+        # a bound, not math.isfinite: an int past float range (a YAML
+        # numeral of 400 digits) has no float to test
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value):
+                or not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{where}: expected finite float, got {value!r}")
         return float(value)
     # exact types: YAML gives plain ints and bools, and a bool is an int

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -81,22 +81,6 @@ class Dataset:
                 and np.array_equal(self.labels, other.labels))
 
 
-def _sample_from_templates(templates: np.ndarray, labels_per_class: int,
-                           sigma: float, domain: str,
-                           rng: np.random.Generator) -> Dataset:
-    n_classes = templates.shape[0]
-    inputs, labels = [], []
-    for c in range(n_classes):
-        noise = rng.normal(0.0, sigma, size=(labels_per_class,) + templates[c].shape) \
-            if sigma > 0 else np.zeros((labels_per_class,) + templates[c].shape)
-        inputs.append(np.clip(templates[c] + noise, 0.0, 1.0))
-        labels.append(np.full(labels_per_class, c, dtype=np.int64))
-    inputs = np.concatenate(inputs)
-    labels = np.concatenate(labels)
-    order = rng.permutation(len(labels))
-    return Dataset(inputs[order], labels[order], n_classes, domain)
-
-
 def source_templates(spec: TaskSpec) -> np.ndarray:
     """The fixed per-class templates, (C_src, H, W, C), drawn from the seed.
 
@@ -111,13 +95,6 @@ def source_templates(spec: TaskSpec) -> np.ndarray:
         spec.channels))
     reps = spec.image_size // spec.patch_size
     return np.tile(patches, (1, reps, reps, 1))
-
-
-def generate_source(spec: TaskSpec) -> Dataset:
-    templates = source_templates(spec)
-    rng = np.random.default_rng((spec.seed, 1))
-    return _sample_from_templates(templates, spec.samples_per_class,
-                                  spec.noise_sigma, "source", rng)
 
 
 def _rotate(image: np.ndarray, degrees: float) -> np.ndarray:
@@ -145,37 +122,41 @@ def target_class_selection(spec: TaskSpec) -> np.ndarray:
     return rng.permutation(spec.n_source_classes)[:spec.n_target_classes]
 
 
+def _draw(spec: TaskSpec, domain: str, per_class: int,
+          stream: int) -> Dataset:
+    """per_class noisy samples of every class of a domain, shuffled, from
+    the RNG stream (spec.seed, stream). The target classes are distorted
+    copies of the selected source templates, relabeled 0..C_tgt-1."""
+    templates = source_templates(spec)
+    if domain == "target":
+        templates = np.stack([
+            _distort(templates[c], spec.rotation_degrees, spec.contrast_shift)
+            for c in target_class_selection(spec)])
+    rng = np.random.default_rng((spec.seed, stream))
+    shape = (len(templates), per_class) + templates.shape[1:]
+    noise = rng.normal(0.0, spec.noise_sigma, size=shape) \
+        if spec.noise_sigma > 0 else np.zeros(shape)
+    inputs = np.clip(templates[:, None] + noise, 0.0, 1.0).reshape(
+        (-1,) + templates.shape[1:])
+    labels = np.repeat(np.arange(len(templates)), per_class)
+    order = rng.permutation(len(labels))
+    return Dataset(inputs[order], labels[order], len(templates), domain)
+
+
+def generate_source(spec: TaskSpec) -> Dataset:
+    return _draw(spec, "source", spec.samples_per_class, 1)
+
+
 def derive_target(spec: TaskSpec) -> Dataset:
     """Target task: distorted subset of source templates, relabeled 0..C_tgt-1."""
-    templates = source_templates(spec)
-    selected = target_class_selection(spec)
-    distorted = np.stack([
-        _distort(templates[c], spec.rotation_degrees, spec.contrast_shift)
-        for c in selected
-    ])
-    rng = np.random.default_rng((spec.seed, 3))
-    return _sample_from_templates(distorted, spec.samples_per_class,
-                                  spec.noise_sigma, "target", rng)
+    return _draw(spec, "target", spec.samples_per_class, 3)
 
 
 def test_split(spec: TaskSpec, domain: str = "target",
                samples_per_class: int | None = None) -> Dataset:
     """Held-out set: same templates, independent noise stream."""
     per_class = samples_per_class or max(spec.samples_per_class // 2, 1)
-    eval_spec = replace(spec, samples_per_class=per_class)
-    if domain == "source":
-        rng = np.random.default_rng((spec.seed, 4))
-        return _sample_from_templates(source_templates(eval_spec), per_class,
-                                      spec.noise_sigma, "source", rng)
-    selected = target_class_selection(eval_spec)
-    templates = source_templates(eval_spec)
-    distorted = np.stack([
-        _distort(templates[c], spec.rotation_degrees, spec.contrast_shift)
-        for c in selected
-    ])
-    rng = np.random.default_rng((spec.seed, 5))
-    return _sample_from_templates(distorted, per_class, spec.noise_sigma,
-                                  "target", rng)
+    return _draw(spec, domain, per_class, 4 if domain == "source" else 5)
 
 
 def stratified_subsample(dataset: Dataset, rate: float, seed: int) -> Dataset:
@@ -221,6 +202,8 @@ def load(path) -> Dataset:
         raise DatasetFormatError("bad magic")
     if version != _VERSION:
         raise DatasetFormatError(f"unsupported version {version}")
+    if domain_idx >= len(_DOMAINS):
+        raise DatasetFormatError(f"unknown domain index {domain_idx}")
     pixel_bytes = n * h * w * c * 8
     label_bytes = n * 8
     if len(raw) != header_size + pixel_bytes + label_bytes:
@@ -230,7 +213,10 @@ def load(path) -> Dataset:
     ).reshape(n, h, w, c).copy()
     labels = np.frombuffer(
         raw, dtype="<i8", count=n, offset=header_size + pixel_bytes).copy()
-    return Dataset(inputs, labels, n_classes, _DOMAINS[domain_idx])
+    try:
+        return Dataset(inputs, labels, n_classes, _DOMAINS[domain_idx])
+    except ValueError as exc:  # a label outside [0, n_classes)
+        raise DatasetFormatError(str(exc)) from exc
 
 
 def export_csv(dataset: Dataset, path) -> None:

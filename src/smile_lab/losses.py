@@ -50,7 +50,8 @@ def _mean_row_sumsq(diff: T.Tensor) -> T.Tensor:
 
 def task_loss(x: np.ndarray, y: np.ndarray,
               student_t: Dict[str, T.Tensor], n_classes: int) -> T.Tensor:
-    logits = model.target_logits_t(x, student_t)
+    logits = model.head_logits_t(model.feature_extract_t(x, student_t),
+                                 student_t, "tgt")
     return T.softmax_cross_entropy(logits, T.constant(one_hot(y, n_classes)))
 
 
@@ -71,7 +72,8 @@ def mixup_loss(x: np.ndarray, y: np.ndarray, student_t: Dict[str, T.Tensor],
                n_classes: int, lam: float, pairing: np.ndarray) -> T.Tensor:
     """Sample-to-label mixup: lam-weighted cross-entropy on mixed inputs."""
     x_mixed = mix(x, x[pairing], lam)
-    logits = model.target_logits_t(x_mixed, student_t)
+    logits = model.head_logits_t(model.feature_extract_t(x_mixed, student_t),
+                                 student_t, "tgt")
     return mixed_ce(logits, y, y[pairing], n_classes, lam)
 
 
@@ -80,26 +82,21 @@ def source_label_mixup_loss(x_src: np.ndarray, student_t: Dict[str, T.Tensor],
                             pairing: np.ndarray,
                             compare_space: str = "logits") -> T.Tensor:
     """Source-domain sample-to-label mixup: student source-head output on
-    mixed inputs vs the mix of teacher source-head outputs.
+    mixed inputs vs the mix of teacher source-head outputs (a teacher has
+    no target head, so head_logits reads its source head).
 
     compare_space selects raw logits (default) or softmax probabilities.
     """
-    if compare_space not in ("logits", "probs"):
-        raise ValueError(f"unknown compare space {compare_space!r}")
     x_mixed = mix(x_src, x_src[pairing], lam)
-    student_out = model.source_logits_t(x_mixed, student_t)
-    teacher_out = model.source_logits(x_src, teacher)
+    student_out = model.head_logits_t(
+        model.feature_extract_t(x_mixed, student_t), student_t, "src")
+    teacher_out = T.constant(model.head_logits(
+        model.feature_extract(x_src, teacher), teacher))
     if compare_space == "probs":
         student_out = T.softmax(student_out)
-        teacher_out = _softmax_rows(teacher_out)
-    target = mix(teacher_out, teacher_out[pairing], lam)
+        teacher_out = T.softmax(teacher_out)
+    target = mix(teacher_out.values, teacher_out.values[pairing], lam)
     return _mean_row_sumsq(T.subtract(student_out, T.constant(target)))
-
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def total_objective(student_t: Dict[str, T.Tensor],
@@ -127,8 +124,7 @@ def total_objective(student_t: Dict[str, T.Tensor],
         # feature term
         x_mixed = mix(x_tgt, x_tgt[tgt_pairing], lam)
         student_feats = model.feature_extract_t(x_mixed, student_t)
-        logits = T.add(T.matmul(student_feats, student_t["tgt_w"]),
-                       student_t["tgt_b"])
+        logits = model.head_logits_t(student_feats, student_t, "tgt")
         triplet = mixed_ce(logits, y_tgt, y_tgt[tgt_pairing],
                            n_target_classes, lam)
         breakdown.mxp = float(triplet.values)

@@ -126,14 +126,10 @@ def feature_extract_t(x: np.ndarray, wt: Dict[str, T.Tensor]) -> T.Tensor:
     return T.relu(T.add(T.matmul(pooled, wt["proj_w"]), wt["proj_b"]))
 
 
-def target_logits_t(x: np.ndarray, wt: Dict[str, T.Tensor]) -> T.Tensor:
-    feats = feature_extract_t(x, wt)
-    return T.add(T.matmul(feats, wt["tgt_w"]), wt["tgt_b"])
-
-
-def source_logits_t(x: np.ndarray, wt: Dict[str, T.Tensor]) -> T.Tensor:
-    feats = feature_extract_t(x, wt)
-    return T.add(T.matmul(feats, wt["src_w"]), wt["src_b"])
+def head_logits_t(feats: T.Tensor, wt: Dict[str, T.Tensor],
+                  head: str) -> T.Tensor:
+    """Logits of the "tgt" or "src" head on features of feature_extract_t."""
+    return T.add(T.matmul(feats, wt[f"{head}_w"]), wt[f"{head}_b"])
 
 
 def _conv2d_np(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -155,19 +151,10 @@ def feature_extract(x: np.ndarray, weights: ModelWeights) -> np.ndarray:
 
 
 def head_logits(feats: np.ndarray, weights: ModelWeights) -> np.ndarray:
-    """Logits of the target head, or of the source head when there is none."""
+    """Logits of the target head, or of the source head when there is none
+    (a pretrained model or a teacher)."""
     prefix = "tgt" if weights.has_target_head else "src"
     return feats @ weights.params[f"{prefix}_w"] + weights.params[f"{prefix}_b"]
-
-
-def target_logits(x: np.ndarray, weights: ModelWeights) -> np.ndarray:
-    feats = feature_extract(x, weights)
-    return feats @ weights.params["tgt_w"] + weights.params["tgt_b"]
-
-
-def source_logits(x: np.ndarray, weights: ModelWeights) -> np.ndarray:
-    feats = feature_extract(x, weights)
-    return feats @ weights.params["src_w"] + weights.params["src_b"]
 
 
 def init_from_pretrained(pretrained: ModelWeights, seed: int):
@@ -176,17 +163,14 @@ def init_from_pretrained(pretrained: ModelWeights, seed: int):
     for name in FE_PARAMS + SRC_HEAD_PARAMS:
         if name not in pretrained.params:
             raise CheckpointError(f"pretrained weights missing {name}")
-    student = ModelWeights(
-        pretrained.arch,
-        {k: pretrained.params[k].copy()
-         for k in FE_PARAMS + SRC_HEAD_PARAMS})
-    rng = np.random.default_rng(seed)
-    student.params["tgt_w"], student.params["tgt_b"] = _head_init(
-        rng, pretrained.arch.feature_dim, pretrained.arch.n_target_classes)
     teacher = ModelWeights(
         pretrained.arch,
         {k: pretrained.params[k].copy()
          for k in FE_PARAMS + SRC_HEAD_PARAMS})
+    student = teacher.copy()
+    rng = np.random.default_rng(seed)
+    student.params["tgt_w"], student.params["tgt_b"] = _head_init(
+        rng, pretrained.arch.feature_dim, pretrained.arch.n_target_classes)
     return student, teacher
 
 

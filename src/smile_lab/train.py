@@ -134,19 +134,24 @@ class Metrics:
                 ])
 
 
-def accuracy(weights: model.ModelWeights, dataset: Dataset,
-             head: str = "target", batch_size: int = 32) -> float:
-    # The training batch size: larger batches (36 MiB of conv2 im2col at
-    # 256 rows) made evaluation set the process's peak memory. The logits
-    # do not depend on how the rows are batched.
+# The training batch size: larger chunks (36 MiB of conv2 im2col at 256
+# rows) made evaluation set the process's peak memory. A row's logits do
+# not depend on the other rows of a chunk of >= 2 rows; a 1-row chunk (the
+# tail of a set of 32k + 1 rows) goes through GEMV and can differ in the
+# last bit.
+_EVAL_CHUNK = 32
+
+
+def accuracy(weights: model.ModelWeights, dataset: Dataset) -> float:
+    """Accuracy of the target head, or of the source head of a pretrained
+    model (which has no target head)."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    logits_fn = model.target_logits if head == "target" else model.source_logits
     correct = 0
-    for start in range(0, len(dataset), batch_size):
-        x = dataset.inputs[start:start + batch_size]
-        y = dataset.labels[start:start + batch_size]
-        logits = logits_fn(x, weights)
+    for start in range(0, len(dataset), _EVAL_CHUNK):
+        x = dataset.inputs[start:start + _EVAL_CHUNK]
+        y = dataset.labels[start:start + _EVAL_CHUNK]
+        logits = model.head_logits(model.feature_extract(x, weights), weights)
         T.check_finite(logits, "evaluation logits")
         correct += int((logits.argmax(axis=1) == y).sum())
     return correct / len(dataset)
@@ -200,8 +205,9 @@ def pretrain_source(dataset: Dataset, config: PretrainConfig) -> model.ModelWeig
                 x, y_j = mix(x, x[pairing], lam), y[pairing]
             else:
                 lam, y_j = 0.0, y
-            loss = mixed_ce(model.source_logits_t(x, wt), y, y_j,
-                            dataset.n_classes, lam)
+            logits = model.head_logits_t(model.feature_extract_t(x, wt), wt,
+                                         "src")
+            loss = mixed_ce(logits, y, y_j, dataset.n_classes, lam)
             T.backward(loss)
             T.sgd_step(weights.params, _collect_grads(wt), state, config.lr,
                        config.momentum, config.weight_decay)

@@ -177,6 +177,16 @@ def test_bad_override_fails_before_side_effects(workdir):
     assert not out.exists()
 
 
+def test_float_past_float_range_is_config_error(workdir):
+    out, run = workdir
+    code, _, stderr = run("gen-data", "train.lr=" + "9" * 400)
+    assert code == 1
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
+    assert not out.exists()
+
+
 def _assert_diverged(code, stderr):
     assert code == 1
     lines = stderr.strip().splitlines()
@@ -310,11 +320,11 @@ def test_diagnose_matches_independent_estimates(workdir, tmp_path, checkpoint):
     assert code == 0
     report = json.loads((out / "il_report.json").read_text())
     weights = model.load_checkpoint(out / (checkpoint or "student_FT.ckpt"))
-    logits = (model.target_logits if weights.has_target_head
-              else model.source_logits)
     target_test = data.load(out / "target_test.bin")
     diagnostics = load_config(tmp_path / "exp.yaml").diagnostics
-    for layer, fn in (("label", lambda x: logits(x, weights)),
+    logits = lambda x: model.head_logits(model.feature_extract(x, weights),
+                                         weights)
+    for layer, fn in (("label", logits),
                       ("feature", lambda x: model.feature_extract(x, weights))):
         expected = interpolation.estimate_IL(
             fn, target_test, dataclasses.replace(diagnostics, layer=layer))

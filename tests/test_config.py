@@ -215,3 +215,12 @@ def test_non_numerals_rejected(key, value):
         load_config(None, [f"train.{key}={value}"])
     with pytest.raises(ConfigError):
         build_config({"train": {key: value}})
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["+", "-"])
+def test_int_past_float_range_rejected(value):
+    # YAML reads 400 nines as an int that has no float
+    with pytest.raises(ConfigError):
+        load_config(None, [f"train.lr={value}"])
+    with pytest.raises(ConfigError):
+        build_config({"train": {"lr": value}})

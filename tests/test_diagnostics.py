@@ -340,8 +340,10 @@ def test_feature_fn_extracts_each_batch_once(dataset, monkeypatch):
 def test_head_logits_match_model_logits(dataset):
     x = dataset.inputs[:4]
     feats = model.feature_extract(x, _WEIGHTS)
+    p = _WEIGHTS.params
     assert np.array_equal(model.head_logits(feats, _WEIGHTS),
-                          model.target_logits(x, _WEIGHTS))
+                          feats @ p["tgt_w"] + p["tgt_b"])
+    # a teacher has no target head: its source head answers
     _, teacher = model.init_from_pretrained(_WEIGHTS, seed=0)
     assert np.array_equal(model.head_logits(feats, teacher),
-                          model.source_logits(x, teacher))
+                          feats @ p["src_w"] + p["src_b"])

@@ -68,7 +68,8 @@ def test_mixup_loss_identity_pairing_collapses(student):
 def test_mixup_loss_matches_weighted_ce_oracle(student):
     lam = 0.25
     x_mixed = mix(X, X[PAIR], lam)
-    logits = model.target_logits(x_mixed, student)
+    logits = model.head_logits(model.feature_extract(x_mixed, student),
+                               student)
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     ce_i = -logp[np.arange(6), Y].mean()
@@ -97,7 +98,7 @@ def test_feature_mixup_loss_zero_when_teacher_matches(student):
 
 
 def test_feature_mixup_loss_numpy_oracle(student):
-    teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
+    teacher = model.init_weights(ARCH, seed=2)
     lam = 0.5
     expected = _feature_term_oracle(student, teacher, lam)
 
@@ -109,11 +110,12 @@ def test_feature_mixup_loss_numpy_oracle(student):
 
 
 def test_source_label_mixup_loss_numpy_oracle(student):
-    teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
+    teacher = model.init_weights(ARCH, seed=2)
     lam = 0.25
     x_mixed = mix(X_SRC, X_SRC[PAIR], lam)
-    s_out = model.source_logits(x_mixed, student)
-    t_out = model.source_logits(X_SRC, teacher)
+    s_out = (model.feature_extract(x_mixed, student) @ student.params["src_w"]
+             + student.params["src_b"])
+    t_out = model.head_logits(model.feature_extract(X_SRC, teacher), teacher)
     target = mix(t_out, t_out[PAIR], lam)
     expected = float(np.mean(np.sum((s_out - target) ** 2, axis=1)))
 
@@ -124,7 +126,7 @@ def test_source_label_mixup_loss_numpy_oracle(student):
 
 
 def test_source_label_mixup_probs_space(student):
-    teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
+    teacher = model.init_weights(ARCH, seed=2)
     wt = model.as_tensors(student)
     logit_val = losses.source_label_mixup_loss(
         X_SRC, wt, teacher, lam=0.5, pairing=PAIR, compare_space="logits")
@@ -134,13 +136,10 @@ def test_source_label_mixup_probs_space(student):
     # probability rows have norm at most sqrt(2), so the mean sumsq of a
     # difference of two distributions is bounded by 2 per row
     assert 0.0 <= float(prob_val.values) <= 2.0
-    with pytest.raises(ValueError):
-        losses.source_label_mixup_loss(X_SRC, wt, teacher, lam=0.5,
-                                       pairing=PAIR, compare_space="other")
 
 
 def test_triplet_loss_weight_scaling(student):
-    teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
+    teacher = model.init_weights(ARCH, seed=2)
     lam = 0.5
     wt = model.as_tensors(student)
     task = float(losses.task_loss(X, Y, wt, 5).values)
@@ -162,7 +161,7 @@ def test_triplet_loss_weight_scaling(student):
 
 
 def test_triplet_loss_zero_weights_reduces_to_mixup(student):
-    teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
+    teacher = model.init_weights(ARCH, seed=2)
     wt = model.as_tensors(student)
     total, bd = losses.total_objective(wt, teacher, X, Y, None, 5, 0.5, PAIR,
                                        None, losses.LossWeights(fe=0.0, fc=0.0),
@@ -174,7 +173,7 @@ def test_triplet_loss_zero_weights_reduces_to_mixup(student):
 
 
 def test_triplet_loss_requires_source_batch(student):
-    teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
+    teacher = model.init_weights(ARCH, seed=2)
     wt = model.as_tensors(student)
     with pytest.raises(ValueError):
         losses.total_objective(wt, teacher, X, Y, None, 5, 0.5, PAIR, None,
@@ -182,7 +181,7 @@ def test_triplet_loss_requires_source_batch(student):
 
 
 def test_teacher_receives_no_gradient(student):
-    teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
+    teacher = model.init_weights(ARCH, seed=2)
     before = teacher.copy()
     wt = model.as_tensors(student)
     total, _ = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.5, PAIR,
@@ -193,7 +192,7 @@ def test_teacher_receives_no_gradient(student):
 
 
 def test_total_objective_breakdown(student):
-    teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
+    teacher = model.init_weights(ARCH, seed=2)
     wt = model.as_tensors(student)
     w = losses.LossWeights(fe=0.01, fc=0.1)
     total, bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.5, PAIR,
@@ -237,7 +236,7 @@ def _grads(wt):
 @pytest.mark.parametrize("compare_space", ["logits", "probs"])
 @pytest.mark.parametrize("fe", [0.01, 0.0])
 def test_lam_src_matches_two_lambda_composition(student, compare_space, fe):
-    teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
+    teacher = model.init_weights(ARCH, seed=2)
     weights = losses.LossWeights(fe=fe, fc=0.1)
     src_pair = np.array([5, 0, 1, 2, 3, 4])
     wt_ref = model.as_tensors(student)
@@ -265,7 +264,7 @@ def test_lam_src_matches_two_lambda_composition(student, compare_space, fe):
 
 
 def test_lam_src_defaults_to_lam(student):
-    teacher = model.init_weights(ARCH, seed=2, with_target_head=True)
+    teacher = model.init_weights(ARCH, seed=2)
     runs = []
     for lam_src in (None, 0.3):
         wt = model.as_tensors(student)

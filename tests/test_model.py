@@ -51,12 +51,14 @@ def test_tensor_and_numpy_paths_agree(weights):
     rng = np.random.default_rng(2)
     x = rng.uniform(0.0, 1.0, size=(3, 16, 16, 1))
     wt = model.as_tensors(weights)
-    assert np.allclose(model.feature_extract_t(x, wt).values,
-                       model.feature_extract(x, weights), atol=1e-12)
-    assert np.allclose(model.target_logits_t(x, wt).values,
-                       model.target_logits(x, weights), atol=1e-12)
-    assert np.allclose(model.source_logits_t(x, wt).values,
-                       model.source_logits(x, weights), atol=1e-12)
+    feats_t = model.feature_extract_t(x, wt)
+    feats = model.feature_extract(x, weights)
+    assert np.allclose(feats_t.values, feats, atol=1e-12)
+    assert np.allclose(model.head_logits_t(feats_t, wt, "tgt").values,
+                       model.head_logits(feats, weights), atol=1e-12)
+    _, source_only = model.init_from_pretrained(weights, seed=0)
+    assert np.allclose(model.head_logits_t(feats_t, wt, "src").values,
+                       model.head_logits(feats, source_only), atol=1e-12)
 
 
 def test_heads_are_affine_in_features(weights):
@@ -65,8 +67,8 @@ def test_heads_are_affine_in_features(weights):
     xb = rng.uniform(size=(1, 16, 16, 1))
     fa = model.feature_extract(xa, weights)
     fb = model.feature_extract(xb, weights)
-    za = model.target_logits(xa, weights)
-    zb = model.target_logits(xb, weights)
+    za = model.head_logits(fa, weights)
+    zb = model.head_logits(fb, weights)
     # affine map: logits(mix of features) equals mix of logits
     mixed_feats = 0.3 * fa + 0.7 * fb
     mixed_logits = mixed_feats @ weights.params["tgt_w"] + weights.params["tgt_b"]

@@ -232,7 +232,8 @@ def _pretrain_source_reference(dataset, config):
         if config.use_mixup:
             lam = sample_lambda(config.alpha, rng)
             pairing = pair_batch(len(x), rng)
-            logits = model.source_logits_t(mix(x, x[pairing], lam), wt)
+            feats = model.feature_extract_t(mix(x, x[pairing], lam), wt)
+            logits = model.head_logits_t(feats, wt, "src")
             loss = T.add(
                 T.scale(T.softmax_cross_entropy(
                     logits, T.constant(losses.one_hot(y, dataset.n_classes))),
@@ -242,7 +243,8 @@ def _pretrain_source_reference(dataset, config):
                     T.constant(losses.one_hot(y[pairing], dataset.n_classes))),
                     lam))
         else:
-            logits = model.source_logits_t(x, wt)
+            logits = model.head_logits_t(model.feature_extract_t(x, wt), wt,
+                                         "src")
             loss = T.softmax_cross_entropy(
                 logits, T.constant(losses.one_hot(y, dataset.n_classes)))
         T.backward(loss)
@@ -282,7 +284,7 @@ def test_pretrain_noise_free_source_is_learnable():
     src = data.generate_source(spec)
     weights = train.pretrain_source(
         src, train.PretrainConfig(iterations=500, seed=0))
-    assert train.accuracy(weights, src, head="source") >= 0.99
+    assert train.accuracy(weights, src) >= 0.99
 
 
 def test_accuracy_rejects_empty(pretrained):
@@ -294,13 +296,19 @@ def test_accuracy_rejects_empty(pretrained):
 
 def test_eval_logits_do_not_depend_on_batch_rows(pretrained, datasets):
     src, _, _ = datasets
-    whole = model.source_logits(src.inputs, pretrained)       # 160 rows
-    chunked = np.concatenate([model.source_logits(src.inputs[s:s + 32],
-                                                  pretrained)
-                              for s in range(0, len(src), 32)])
-    assert np.array_equal(whole, chunked)
-    assert train.accuracy(pretrained, src, head="source") == \
-        train.accuracy(pretrained, src, head="source", batch_size=256)
+
+    def logits(x):
+        return model.head_logits(model.feature_extract(x, pretrained),
+                                 pretrained)
+
+    whole = logits(src.inputs)       # 160 rows
+    # chunks of >= 2 rows; a 1-row chunk goes through GEMV
+    for size in (2, 7, 32):
+        chunked = np.concatenate([logits(src.inputs[s:s + size])
+                                  for s in range(0, len(src), size)])
+        assert np.array_equal(whole, chunked), size
+    assert train.accuracy(pretrained, src) == \
+        np.mean(whole.argmax(axis=1) == src.labels)
 
 
 def test_ablation_suite_shape(pretrained, datasets):
