@@ -1,16 +1,23 @@
 #!/usr/bin/env python3
 """Print sha256 digests of the pipeline's artifacts at a small config.
 
-Runs gen-data --csv, pretrain, train for every fine-tuning mode, ablate
-and diagnose through the CLI in a temporary directory, then prints one
-``<sha256>  <artifact>`` line for the four dataset CSVs, pretrained.ckpt,
-every student_*.ckpt and metrics_*.csv, ablation_summary.csv and
-il_report.json. Two source trees that give the same lines compute the same
-bytes; a refactor that claims to change no arithmetic shows it by comparing
-this output before and after:
+Runs gen-data --csv, pretrain, train for every fine-tuning mode and for the
+SMILE variants in ``VARIANTS``, ablate and diagnose through the CLI in a
+temporary directory, then prints one ``<sha256>  <artifact>`` line for the
+four dataset CSVs, pretrained.ckpt, every student_*.ckpt and metrics_*.csv,
+ablation_summary.csv and il_report.json. Two source trees that give the
+same lines compute the same bytes; a refactor that claims to change no
+arithmetic shows it by comparing this output before and after:
 
     PYTHONPATH=src python3 scripts/golden_digests.py > after.txt
     PYTHONPATH=<checkout>/src python3 scripts/golden_digests.py > before.txt
+
+The output starts with ``# key: value`` lines that fingerprint what the bits
+depend on besides the source. ``tests/golden_digests.txt`` holds this
+output, and ``tests/test_scripts.py`` compares ``artifact_digests()`` with
+it. A change that alters results on purpose rewrites that file:
+
+    PYTHONPATH=src python3 scripts/golden_digests.py > tests/golden_digests.txt
 """
 
 from __future__ import annotations
@@ -23,7 +30,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from smile_lab import cli, train
+
+DIGESTS_FILE = (Path(__file__).resolve().parent.parent / "tests"
+                / "golden_digests.txt")
 
 CONFIG = """\
 seed: 0
@@ -44,41 +56,91 @@ output_dir: out
 
 DATASETS = ("source_train", "target_train_full", "target_train", "target_test")
 
+# SMILE runs off the default branches; their artifacts are renamed to
+# student_<name>.ckpt and metrics_<name>.csv
+VARIANTS = {
+    "SMILE-probs": "train.compare_space=probs",
+    "SMILE-ema": "train.teacher_update=ema",
+}
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def main() -> int:
-    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+def fingerprint() -> dict:
+    """What the bits depend on besides the source: numpy, its BLAS and the
+    CPU that BLAS picks its kernels for."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = {}
+    with contextlib.suppress(OSError), open("/proc/cpuinfo") as fh:
+        for line in fh:
+            key, _, value = line.partition(":")
+            key = key.strip()
+            if key in ("model name", "flags") and key not in cpu:
+                cpu[key] = value.strip()
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "cpu_model": cpu.get("model name", "unknown"),
+            "cpu_flags": cpu.get("flags", "unknown")}
+
+
+def _run(argv) -> None:
+    # progress lines go to stderr; stdout carries only digests
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli.main(["-c", "exp.yaml", *argv])
+    if code != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {code}")
+
+
+def artifact_digests() -> dict:
+    """Run the pipeline in a temporary directory; {artifact name: sha256}."""
     # the config names the output directory; keep the environment out of it
-    os.environ.pop(cli.ENV_OUTPUT_DIR, None)
+    env_out = os.environ.pop(cli.ENV_OUTPUT_DIR, None)
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        # a relative output_dir keeps the temporary path out of il_report.json
-        os.chdir(tmp)
-        try:
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            # a relative output_dir keeps the temporary path out of
+            # il_report.json
+            os.chdir(tmp)
             Path("exp.yaml").write_text(CONFIG)
-            steps = [["gen-data", "--csv"], ["pretrain"]]
-            steps += [["train", f"train.mode={mode}"] for mode in train.MODES]
-            steps += [["ablate"], ["diagnose", "train.mode=SMILE"]]
-            for argv in steps:
-                # progress lines go to stderr; stdout carries only digests
-                with contextlib.redirect_stdout(sys.stderr):
-                    code = cli.main(["-c", "exp.yaml", *argv])
-                if code != 0:
-                    print(f"{' '.join(argv)} exited {code}", file=sys.stderr)
-                    return code
             out = Path("out")
+            _run(["gen-data", "--csv"])
+            _run(["pretrain"])
+            # the variants run first: each writes, then renames, the
+            # artifacts of the default SMILE run
+            for name, override in VARIANTS.items():
+                _run(["train", "train.mode=SMILE", override])
+                for kind, ext in (("student", "ckpt"), ("metrics", "csv")):
+                    (out / f"{kind}_SMILE.{ext}").rename(
+                        out / f"{kind}_{name}.{ext}")
+            for mode in train.MODES:
+                _run(["train", f"train.mode={mode}"])
+            _run(["ablate"])
+            _run(["diagnose", "train.mode=SMILE"])
             artifacts = [out / "pretrained.ckpt", out / "il_report.json",
                          out / "ablation_summary.csv"]
             artifacts += out.glob("student_*.ckpt")
             artifacts += out.glob("metrics_*.csv")
             artifacts += [out / f"{name}.csv" for name in DATASETS]
-            digests = sorted((p.name, sha256(p)) for p in artifacts)
-        finally:
-            os.chdir(cwd)
-    for name, digest in digests:
+            return dict(sorted((p.name, sha256(p)) for p in artifacts))
+    finally:
+        os.chdir(cwd)
+        if env_out is not None:
+            os.environ[cli.ENV_OUTPUT_DIR] = env_out
+
+
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(
+        argv)
+    try:
+        digests = artifact_digests()
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    for key, value in fingerprint().items():
+        print(f"# {key}: {value}")
+    for name, digest in digests.items():
         print(f"{digest}  {name}")
     return 0
 

@@ -47,14 +47,12 @@ def cmd_gen_data(cfg: ExperimentConfig, args) -> None:
     target_sub = data.stratified_subsample(target_full, cfg.subsample_rate,
                                            cfg.task.seed)
     target_test = data.test_split(cfg.task, "target")
-    data.save(source, paths["source_train"])
-    data.save(target_full, paths["target_train_full"])
-    data.save(target_sub, paths["target_train"])
-    data.save(target_test, paths["target_test"])
-    if args.csv:
-        for name in paths:
-            data.export_csv(data.load(paths[name]),
-                            paths[name].with_suffix(".csv"))
+    datasets = {"source_train": source, "target_train_full": target_full,
+                "target_train": target_sub, "target_test": target_test}
+    for name, dataset in datasets.items():
+        data.save(dataset, paths[name])
+        if args.csv:
+            data.export_csv(dataset, paths[name].with_suffix(".csv"))
     print(f"wrote {len(source)} source / {len(target_sub)} target train "
           f"(rate {cfg.subsample_rate}) / {len(target_test)} target test "
           f"samples to {out}")
@@ -146,11 +144,8 @@ def cmd_diagnose(cfg: ExperimentConfig, args) -> None:
     for layer, fn in (("label", label_fn), ("feature", feature_fn)):
         il_cfg = dataclasses.replace(cfg.diagnostics, layer=layer)
         reports[layer] = interpolation.estimate_IL(fn, target_test, il_cfg)
-    payload = {
-        "model": source_name,
-        "label": json.loads(reports["label"].to_json()),
-        "feature": json.loads(reports["feature"].to_json()),
-    }
+    payload = {"model": source_name,
+               **{layer: dataclasses.asdict(r) for layer, r in reports.items()}}
     (out / "il_report.json").write_text(json.dumps(payload, indent=2))
 
     rng = np.random.default_rng(cfg.diagnostics.seed)

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Sequence
 
 import numpy as np
 
 from . import model
-from .mixup import mix
 
 TRAJECTORY_COEFFICIENTS = (0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -59,14 +59,7 @@ class ILReport:
     config: ILConfig
 
     def to_json(self) -> str:
-        payload = {
-            "mean": self.mean,
-            "std": self.std,
-            "n_effective": self.n_effective,
-            "n_degenerate": self.n_degenerate,
-            "config": self.config.__dict__,
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def normalized_interp_distance(y_it: np.ndarray, y1: np.ndarray,
@@ -210,18 +203,14 @@ def feature_interp_trajectory(
     (pair, coefficient)."""
     if len(image_pairs) < 1:
         raise ValueError("need at least one image pair")
-    batch = np.stack([mix(a, b, lam)
-                      for a, b in image_pairs for lam in coefficients])
-    feats = feature_fn(batch)
-    projected, explained = pca_2d(feats)
-    rows = []
-    idx = 0
-    for pair_id in range(len(image_pairs)):
-        for lam in coefficients:
-            rows.append(TrajectoryPoint(pair_id, float(lam),
-                                        float(projected[idx, 0]),
-                                        float(projected[idx, 1])))
-            idx += 1
+    if not all(0.0 <= c <= 1.0 for c in coefficients):
+        raise ValueError(f"coefficients out of [0, 1]: {coefficients}")
+    batch = np.concatenate([_mix_rows(a, b, coefficients)
+                            for a, b in image_pairs])
+    projected, explained = pca_2d(feature_fn(batch))
+    points = itertools.product(range(len(image_pairs)), coefficients)
+    rows = [TrajectoryPoint(pair_id, float(lam), float(x), float(y))
+            for (pair_id, lam), (x, y) in zip(points, projected, strict=True)]
     return rows, explained
 
 

@@ -44,8 +44,15 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def _mean_row_sumsq(diff: T.Tensor) -> T.Tensor:
-    return T.scale(T.sum_of_squares(diff), 1.0 / diff.values.shape[0])
+def distillation_loss(student_out: T.Tensor, teacher_out: np.ndarray,
+                      pairing: np.ndarray, lam: float) -> T.Tensor:
+    """Mean over rows of ||student_out - mix(t, t[pairing], lam)||^2 with
+    t = teacher_out: the student's output on a mixed input is pulled toward
+    the same mix of the teacher's outputs (L_fe on features, L_fc on
+    source-head outputs)."""
+    target = mix(teacher_out, teacher_out[pairing], lam)
+    diff = T.subtract(student_out, T.constant(target))
+    return T.scale(T.sum_of_squares(diff), 1.0 / len(target))
 
 
 def task_loss(x: np.ndarray, y: np.ndarray,
@@ -95,8 +102,7 @@ def source_label_mixup_loss(x_src: np.ndarray, student_t: Dict[str, T.Tensor],
     if compare_space == "probs":
         student_out = T.softmax(student_out)
         teacher_out = T.softmax(teacher_out)
-    target = mix(teacher_out.values, teacher_out.values[pairing], lam)
-    return _mean_row_sumsq(T.subtract(student_out, T.constant(target)))
+    return distillation_loss(student_out, teacher_out.values, pairing, lam)
 
 
 def total_objective(student_t: Dict[str, T.Tensor],
@@ -129,9 +135,9 @@ def total_objective(student_t: Dict[str, T.Tensor],
                            n_target_classes, lam)
         breakdown.mxp = float(triplet.values)
         if weights.fe > 0:
-            teacher_feats = model.feature_extract(x_tgt, teacher)
-            target = mix(teacher_feats, teacher_feats[tgt_pairing], lam)
-            fe = _mean_row_sumsq(T.subtract(student_feats, T.constant(target)))
+            fe = distillation_loss(student_feats,
+                                   model.feature_extract(x_tgt, teacher),
+                                   tgt_pairing, lam)
             breakdown.fe = float(fe.values)
             triplet = T.add(triplet, T.scale(fe, weights.fe))
         if weights.fc > 0:

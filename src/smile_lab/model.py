@@ -6,6 +6,7 @@ Tensors when gradients are needed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +21,8 @@ _CKPT_VERSION = 1
 
 
 class CheckpointError(ValueError):
-    """Bad magic/version or architecture mismatch in a checkpoint."""
+    """A malformed checkpoint: bad magic or version, a truncated or
+    oversized file, or parameters that do not match its architecture."""
 
 
 @dataclass
@@ -34,10 +36,28 @@ class Architecture:
     n_source_classes: int = 20
     n_target_classes: int = 5
 
+    def __post_init__(self):
+        if min(self.as_tuple()) < 1:
+            raise ValueError("architecture sizes must be >= 1")
+        if self.kernel_size % 2 == 0:
+            raise ValueError("kernel_size must be odd")
+
     def as_tuple(self):
         return (self.image_size, self.channels, self.conv1_filters,
                 self.conv2_filters, self.kernel_size, self.feature_dim,
                 self.n_source_classes, self.n_target_classes)
+
+    def param_shapes(self) -> Dict[str, tuple]:
+        """Shape of every parameter, the target head included."""
+        k, c1, c2, d = (self.kernel_size, self.conv1_filters,
+                        self.conv2_filters, self.feature_dim)
+        return {"conv1_k": (k, k, self.channels, c1), "conv1_b": (c1,),
+                "conv2_k": (k, k, c1, c2), "conv2_b": (c2,),
+                "proj_w": (c2, d), "proj_b": (d,),
+                "src_w": (d, self.n_source_classes),
+                "src_b": (self.n_source_classes,),
+                "tgt_w": (d, self.n_target_classes),
+                "tgt_b": (self.n_target_classes,)}
 
 
 # Parameter names of the shared feature extractor.
@@ -192,18 +212,20 @@ def save_checkpoint(weights: ModelWeights, path) -> None:
 
 
 def load_checkpoint(path) -> ModelWeights:
+    """Read a checkpoint written by save_checkpoint; any malformed file
+    raises CheckpointError."""
     raw = Path(path).read_bytes()
     try:
         off = struct.calcsize("<4sI")
-        magic, version = struct.unpack("<4sI", raw[:off])
+        magic, version = struct.unpack_from("<4sI", raw)
         if magic != _CKPT_MAGIC:
             raise CheckpointError("bad checkpoint magic")
         if version != _CKPT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         n_arch = len(Architecture().as_tuple())
-        arch_vals = struct.unpack_from(f"<{n_arch}I", raw, off)
+        arch = Architecture(*struct.unpack_from(f"<{n_arch}I", raw, off))
         off += 4 * n_arch
-        arch = Architecture(*arch_vals)
+        shapes = arch.param_shapes()
         (n_params,) = struct.unpack_from("<I", raw, off)
         off += 4
         params: Dict[str, np.ndarray] = {}
@@ -212,15 +234,31 @@ def load_checkpoint(path) -> ModelWeights:
             off += 4
             name = raw[off:off + name_len].decode()
             off += name_len
+            if name not in shapes or name in params:
+                raise CheckpointError(f"unexpected parameter {name!r}")
             (ndim,) = struct.unpack_from("<I", raw, off)
             off += 4
+            if ndim != len(shapes[name]):
+                raise CheckpointError(f"{name} has {ndim} dimensions")
             shape = struct.unpack_from(f"<{ndim}I", raw, off)
             off += 4 * ndim
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(raw, dtype="<f8", count=count,
-                                offset=off).reshape(shape).copy()
+            if shape != shapes[name]:
+                raise CheckpointError(
+                    f"{name} has shape {shape}, not {shapes[name]}")
+            count = math.prod(shape)
+            if off + 8 * count > len(raw):
+                raise CheckpointError(f"truncated checkpoint at {name}")
+            params[name] = np.frombuffer(raw, dtype="<f8", count=count,
+                                         offset=off).reshape(shape).copy()
             off += 8 * count
-            params[name] = arr
-    except struct.error as exc:
-        raise CheckpointError(f"truncated checkpoint: {exc}") from exc
+    except CheckpointError:
+        raise
+    except (struct.error, ValueError) as exc:  # a cut or a bad name or size
+        raise CheckpointError(f"malformed checkpoint: {exc}") from exc
+    if off != len(raw):
+        raise CheckpointError(f"{len(raw) - off} trailing bytes")
+    expected = set(FE_PARAMS + SRC_HEAD_PARAMS)
+    if set(params) not in (expected, expected | set(TGT_HEAD_PARAMS)):
+        raise CheckpointError(
+            f"parameters {sorted(params)} do not form a model")
     return ModelWeights(arch, params)

@@ -7,12 +7,9 @@ for every forward pass; nothing is retained between training iterations.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, Sequence
 
 import numpy as np
-
-_node_counter = itertools.count()
 
 
 class NonFiniteError(FloatingPointError):
@@ -34,8 +31,7 @@ class Tensor:
     parents does.
     """
 
-    __slots__ = ("values", "grad", "node_id", "requires_grad", "_parents",
-                 "_backward")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, values, parents: Sequence["Tensor"] = (),
                  backward: Callable[[np.ndarray], None] | None = None,
@@ -44,7 +40,6 @@ class Tensor:
         check_finite(self.values, "primitive output" if parents
                      else "tensor construction")
         self.grad: np.ndarray | None = None
-        self.node_id = next(_node_counter)
         self._parents = tuple(parents)
         self._backward = backward
         self.requires_grad = (any(p.requires_grad for p in self._parents)
@@ -60,7 +55,7 @@ class Tensor:
         self.grad += g
 
     def __repr__(self):
-        return f"Tensor(shape={self.values.shape}, id={self.node_id})"
+        return f"Tensor(shape={self.values.shape})"
 
 
 def constant(values) -> Tensor:
@@ -281,19 +276,19 @@ def backward(root: Tensor) -> None:
         raise ValueError("backward root must be scalar")
 
     topo: list[Tensor] = []
-    visited: set[int] = set()
+    visited: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             topo.append(node)
             continue
-        if node.node_id in visited:
+        if node in visited:
             continue
-        visited.add(node.node_id)
+        visited.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if parent.node_id not in visited:
+            if parent not in visited:
                 stack.append((parent, False))
 
     root.grad = np.ones_like(root.values)

@@ -5,14 +5,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from . import model, tensor as T
 from .data import Dataset
-from .losses import LossWeights, mixed_ce, total_objective
+from .losses import LossBreakdown, LossWeights, mixed_ce, total_objective
 from .mixup import mix, pair_batch, sample_lambda
 
 MODES = ("FT", "D-SMILE", "M-FE", "M-FC", "SMILE", "SMILE-noS", "SMILE-noT")
@@ -119,27 +119,31 @@ class Metrics:
     eval_rows: List[dict] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
+        columns = ["iteration", "lr", *(f.name for f in fields(LossBreakdown))]
         eval_by_iter = {r["iteration"]: r for r in self.eval_rows}
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iteration", "lr", "task", "mxp", "fe", "fc",
-                             "total", "train_acc", "test_acc"])
+            writer.writerow(columns + ["train_acc", "test_acc"])
             for row in self.loss_rows:
                 ev = eval_by_iter.get(row["iteration"], {})
-                writer.writerow([
-                    row["iteration"], repr(row["lr"]),
-                    repr(row["task"]), repr(row["mxp"]), repr(row["fe"]),
-                    repr(row["fc"]), repr(row["total"]),
-                    ev.get("train_acc", ""), ev.get("test_acc", ""),
-                ])
+                writer.writerow([repr(row[c]) for c in columns]
+                                + [ev.get("train_acc", ""),
+                                   ev.get("test_acc", "")])
 
 
 # The training batch size: larger chunks (36 MiB of conv2 im2col at 256
 # rows) made evaluation set the process's peak memory. A row's logits do
-# not depend on the other rows of a chunk of >= 2 rows; a 1-row chunk (the
-# tail of a set of 32k + 1 rows) goes through GEMV and can differ in the
-# last bit.
+# not depend on the other rows of a chunk of >= 2 rows, but a 1-row chunk
+# goes through GEMV and can differ in the last bit; so the 1-row tail of a
+# set of 32k + 1 rows joins the chunk before it.
 _EVAL_CHUNK = 32
+
+
+def _eval_chunks(n: int) -> List[slice]:
+    starts = list(range(0, n, _EVAL_CHUNK))
+    if n > 1 and n % _EVAL_CHUNK == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def accuracy(weights: model.ModelWeights, dataset: Dataset) -> float:
@@ -148,9 +152,8 @@ def accuracy(weights: model.ModelWeights, dataset: Dataset) -> float:
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     correct = 0
-    for start in range(0, len(dataset), _EVAL_CHUNK):
-        x = dataset.inputs[start:start + _EVAL_CHUNK]
-        y = dataset.labels[start:start + _EVAL_CHUNK]
+    for rows in _eval_chunks(len(dataset)):
+        x, y = dataset.inputs[rows], dataset.labels[rows]
         logits = model.head_logits(model.feature_extract(x, weights), weights)
         T.check_finite(logits, "evaluation logits")
         correct += int((logits.argmax(axis=1) == y).sum())
@@ -225,31 +228,22 @@ def update_teacher(teacher: model.ModelWeights | None,
                    teacher_kind: str) -> model.ModelWeights | None:
     """Teacher refresh at the top of iteration k, before the student step.
 
-    periodic-copy: snapshot of the k-1 student at every multiple of P.
-    ema: exponential average at every iteration (decay 0 tracks the student).
-    'latest'/'fixed' teacher kinds override the schedule entirely.
+    A copy refresh returns a new snapshot of the k-1 student's FE and
+    source head (the teacher carries no target head): a 'latest' teacher
+    at every iteration, a periodic-copy one at every multiple of P. An ema
+    teacher is averaged in place at every iteration (decay 0 tracks the
+    student); a 'fixed' teacher never changes.
     """
-    if teacher is None:
-        return None
-    if teacher_kind == "fixed":
+    if teacher is None or teacher_kind == "fixed":
         return teacher
-    if teacher_kind == "latest":
-        return _copy_shared(teacher, student)
-    if config.teacher_update == "periodic-copy":
-        if k % config.teacher_period == 0:
-            return _copy_shared(teacher, student)
+    if teacher_kind == "periodic" and config.teacher_update == "ema":
+        d = config.ema_decay
+        for name in teacher.params:
+            teacher.params[name] = d * teacher.params[name] + (1 - d) * student.params[name]
         return teacher
-    # ema
-    d = config.ema_decay
-    for name in teacher.params:
-        teacher.params[name] = d * teacher.params[name] + (1 - d) * student.params[name]
-    return teacher
-
-
-def _copy_shared(teacher: model.ModelWeights,
-                 student: model.ModelWeights) -> model.ModelWeights:
-    """Copy the student's FE and source head into the teacher (the teacher
-    carries no target head)."""
+    period = config.teacher_period if teacher_kind == "periodic" else 1
+    if k % period:
+        return teacher
     return model.ModelWeights(
         teacher.arch,
         {name: student.params[name].copy() for name in teacher.params})
@@ -310,11 +304,8 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
             T.sgd_step(student.params, grads, state, lr,
                        config.momentum, config.weight_decay)
 
-        metrics.loss_rows.append({
-            "iteration": k, "lr": lr, "task": breakdown.task,
-            "mxp": breakdown.mxp, "fe": breakdown.fe, "fc": breakdown.fc,
-            "total": breakdown.total,
-        })
+        metrics.loss_rows.append({"iteration": k, "lr": lr,
+                                  **asdict(breakdown)})
         if config.eval_every and (k % config.eval_every == 0
                                   or k == config.iterations):
             # the step's graph is dead; free it before the eval batches

@@ -162,6 +162,26 @@ def test_diagnose_explicit_checkpoint(workdir, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("damage", ["drop src_b", "append junk"])
+def test_diagnose_rejects_a_malformed_checkpoint(workdir, damage):
+    out, run = workdir
+    run("gen-data")
+    run("pretrain")
+    bad = out / "bad.ckpt"
+    if damage == "drop src_b":
+        weights = model.load_checkpoint(out / "pretrained.ckpt")
+        del weights.params["src_b"]
+        model.save_checkpoint(weights, bad)
+    else:
+        bad.write_bytes((out / "pretrained.ckpt").read_bytes() + b"junk")
+    code, _, stderr = run("diagnose", "--checkpoint", str(bad))
+    assert code == 1
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "CheckpointError"
+    assert not (out / "il_report.json").exists()
+
+
 def test_report_without_artifacts(workdir):
     _, run = workdir
     code, _, stderr = run("report")

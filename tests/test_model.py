@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smile_lab import model
 from smile_lab import tensor as T
@@ -116,6 +119,103 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(model.CheckpointError):
         model.load_checkpoint(path)
+
+
+_TINY_ARCH = model.Architecture(image_size=4, conv1_filters=2,
+                                conv2_filters=2, feature_dim=3,
+                                n_source_classes=3, n_target_classes=2)
+
+
+def _tiny_ckpt(tmp_path, drop=(), **replace):
+    weights = model.init_weights(_TINY_ARCH, seed=0, with_target_head=True)
+    for name in drop:
+        del weights.params[name]
+    weights.params.update(replace)
+    path = tmp_path / "tiny.ckpt"
+    model.save_checkpoint(weights, path)
+    return path
+
+
+def test_param_shapes_match_init(weights):
+    assert {k: v.shape for k, v in weights.params.items()} == \
+        ARCH.param_shapes()
+
+
+def test_architecture_rejects_bad_sizes():
+    with pytest.raises(ValueError):
+        model.Architecture(image_size=0)
+    with pytest.raises(ValueError):
+        model.Architecture(kernel_size=2)
+
+
+def test_checkpoint_rejects_every_truncation(tmp_path):
+    blob = _tiny_ckpt(tmp_path).read_bytes()
+    path = tmp_path / "cut.ckpt"
+    for end in range(len(blob)):
+        path.write_bytes(blob[:end])
+        with pytest.raises(model.CheckpointError):
+            model.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = _tiny_ckpt(tmp_path)
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(model.CheckpointError, match="trailing"):
+        model.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_bad_name(tmp_path):
+    path = _tiny_ckpt(tmp_path)
+    blob = bytearray(path.read_bytes())
+    # the first name ("conv1_b") follows the header, the architecture and
+    # the parameter count and name length
+    blob[struct.calcsize("<4sI") + 4 * 8 + 4 + 4] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(model.CheckpointError):
+        model.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("drop, replace", [
+    (("src_b",), {}),
+    (("tgt_b",), {}),
+    ((), {"proj_w": np.zeros((3, 3))}),
+    ((), {"conv1_b": np.zeros((2, 1))}),
+    ((), {"extra": np.zeros(2)}),
+])
+def test_checkpoint_rejects_params_that_do_not_fit(tmp_path, drop, replace):
+    path = _tiny_ckpt(tmp_path, drop, **replace)
+    with pytest.raises(model.CheckpointError):
+        model.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_bad_architecture(tmp_path):
+    blob = bytearray(_tiny_ckpt(tmp_path).read_bytes())
+    # image_size, the first architecture field, to 0
+    blob[8:12] = struct.pack("<I", 0)
+    path = tmp_path / "arch.ckpt"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(model.CheckpointError):
+        model.load_checkpoint(path)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), flip=st.integers(1, 255))
+def test_checkpoint_byte_flip_loads_or_raises_checkpoint_error(
+        tmp_path, data, flip):
+    blob = bytearray(_tiny_ckpt(tmp_path).read_bytes())
+    offset = data.draw(st.integers(0, len(blob) - 1))
+    blob[offset] ^= flip
+    path = tmp_path / "flipped.ckpt"
+    path.write_bytes(bytes(blob))
+    try:
+        loaded = model.load_checkpoint(path)
+    except model.CheckpointError:
+        return
+    # a flip in a value, or one that keeps the file consistent (say a
+    # larger image size)
+    assert {k: v.shape for k, v in loaded.params.items()} == \
+        loaded.arch.param_shapes()
 
 
 def test_feature_gradient_flows(weights):

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from smile_lab import data, train
 from smile_lab.config import load_config
 
@@ -38,3 +40,22 @@ def test_sweep_subsample_table_is_the_ablation_suite_means(capsys):
             cfg.ablation_modes, cfg.ablation_seeds)
         assert line.split() == [f"{rate:.2f}", f"{summary['FT'][0]:.4f}",
                                 f"{summary['D-SMILE'][0]:.4f}"]
+
+
+def test_pipeline_artifacts_match_golden_digests():
+    golden = _load_script("golden_digests")
+    lines = golden.DIGESTS_FILE.read_text().splitlines()
+    recorded = dict(line[2:].split(": ", 1) for line in lines
+                    if line.startswith("# "))
+    expected = {name: digest for digest, name in
+                (line.split("  ") for line in lines if line[:1] != "#")}
+    here = golden.fingerprint()
+    differ = sorted(key for key in recorded | here
+                    if recorded.get(key) != here.get(key))
+    if differ:
+        pytest.skip("golden digests were computed with another "
+                    + ", ".join(differ))
+    digests = golden.artifact_digests()
+    changed = sorted(name for name in expected.keys() | digests.keys()
+                     if expected.get(name) != digests.get(name))
+    assert not changed, f"artifacts whose bytes changed: {changed}"

@@ -117,6 +117,30 @@ def test_latest_teacher_always_current(pretrained):
     assert np.array_equal(teacher.params["proj_w"], student.params["proj_w"])
 
 
+@pytest.mark.parametrize("kind, update, k, copied", [
+    ("periodic", "periodic-copy", 10, True),
+    ("periodic", "periodic-copy", 7, False),
+    ("periodic", "ema", 10, False),
+    ("latest", "periodic-copy", 7, True),
+    ("latest", "ema", 7, True),
+    ("fixed", "periodic-copy", 10, False),
+])
+def test_update_teacher_returns_a_new_object_exactly_on_a_copy(
+        pretrained, kind, update, k, copied):
+    # a copy refresh is a new snapshot; an ema update works in place
+    student, teacher = model.init_from_pretrained(pretrained, seed=0)
+    student.params["proj_w"] = student.params["proj_w"] + 1.0
+    cfg = train.TrainConfig(iterations=10, teacher_update=update)
+    result = train.update_teacher(teacher, student, k, cfg, kind)
+    assert (result is not teacher) == copied
+    assert set(result.params) == set(model.FE_PARAMS + model.SRC_HEAD_PARAMS)
+    if copied:
+        assert all(result.params[n] is not student.params[n]
+                   and np.array_equal(result.params[n], student.params[n])
+                   for n in result.params)
+    assert train.update_teacher(None, student, k, cfg, kind) is None
+
+
 def test_train_returns_metrics(pretrained, datasets):
     _, tgt, tst = datasets
     student, metrics = train.train(pretrained, tgt, None,
@@ -309,6 +333,22 @@ def test_eval_logits_do_not_depend_on_batch_rows(pretrained, datasets):
         assert np.array_equal(whole, chunked), size
     assert train.accuracy(pretrained, src) == \
         np.mean(whole.argmax(axis=1) == src.labels)
+
+
+def test_eval_chunks_match_whole_set_logits(pretrained, datasets):
+    src, _, _ = datasets
+
+    def logits(x):
+        return model.head_logits(model.feature_extract(x, pretrained),
+                                 pretrained)
+
+    # 33 and 65 rows would end in a 1-row chunk, which goes through GEMV
+    for n in range(2, 71):
+        chunks = train._eval_chunks(n)
+        assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
+        assert chunks[0].start == 0 and chunks[-1].stop == n
+        chunked = np.concatenate([logits(src.inputs[c]) for c in chunks])
+        assert np.array_equal(logits(src.inputs[:n]), chunked), n
 
 
 def test_ablation_suite_shape(pretrained, datasets):
