@@ -14,10 +14,13 @@ arithmetic shows it by comparing this output before and after:
 
 The output starts with ``# key: value`` lines that fingerprint what the bits
 depend on besides the source. ``tests/golden_digests.txt`` holds this
-output, and ``tests/test_scripts.py`` compares ``artifact_digests()`` with
-it. A change that alters results on purpose rewrites that file:
+output, computed with one OpenBLAS thread, and ``tests/test_scripts.py``
+compares a run of this script with it, once with one OpenBLAS thread and
+once, with ``--checkpoints``, with two. A change that alters results on
+purpose rewrites that file:
 
-    PYTHONPATH=src python3 scripts/golden_digests.py > tests/golden_digests.txt
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/golden_digests.py \
+        > tests/golden_digests.txt
 """
 
 from __future__ import annotations
@@ -93,8 +96,14 @@ def _run(argv) -> None:
         raise RuntimeError(f"{' '.join(argv)} exited {code}")
 
 
-def artifact_digests() -> dict:
-    """Run the pipeline in a temporary directory; {artifact name: sha256}."""
+def artifact_digests(checkpoints_only: bool = False) -> dict:
+    """Run the pipeline in a temporary directory; {artifact name: sha256}.
+
+    ``checkpoints_only`` runs gen-data, pretrain and one SMILE train run
+    (about a quarter of the time) for pretrained.ckpt and
+    student_SMILE.ckpt; SMILE makes every kind of forward and backward pass
+    the other modes make.
+    """
     # the config names the output directory; keep the environment out of it
     env_out = os.environ.pop(cli.ENV_OUTPUT_DIR, None)
     cwd = os.getcwd()
@@ -105,6 +114,12 @@ def artifact_digests() -> dict:
             os.chdir(tmp)
             Path("exp.yaml").write_text(CONFIG)
             out = Path("out")
+            if checkpoints_only:
+                _run(["gen-data"])
+                _run(["pretrain"])
+                _run(["train", "train.mode=SMILE"])
+                return {name: sha256(out / name) for name in
+                        ("pretrained.ckpt", "student_SMILE.ckpt")}
             _run(["gen-data", "--csv"])
             _run(["pretrain"])
             # the variants run first: each writes, then renames, the
@@ -131,10 +146,13 @@ def artifact_digests() -> dict:
 
 
 def main(argv=None) -> int:
-    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(
-        argv)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkpoints", action="store_true",
+                        help="only pretrained.ckpt and student_SMILE.ckpt, "
+                             "from gen-data, pretrain and one SMILE run")
+    args = parser.parse_args(argv)
     try:
-        digests = artifact_digests()
+        digests = artifact_digests(args.checkpoints)
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1

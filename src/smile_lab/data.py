@@ -7,7 +7,9 @@ source classes, so the two domains are related but not identical.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +23,27 @@ _DOMAINS = ("source", "target")
 
 class DatasetFormatError(ValueError):
     """Bad magic, version, or truncated dataset file."""
+
+
+@contextlib.contextmanager
+def _atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open a temporary file beside ``path`` for writing; it replaces
+    ``path`` only when the block completes.
+
+    A writer that raises leaves the old file as it was and no temporary file
+    behind; a killed process can leave a hidden ``.<name>.<pid>.tmp`` but
+    never a truncated ``path``. Nothing is fsynced: this guards against a
+    failed or interrupted writer, not against a power cut.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -185,7 +208,7 @@ def save(dataset: Dataset, path) -> None:
     header = struct.pack(
         "<4sIIIIIIB", _MAGIC, _VERSION, h, w, c, n, dataset.n_classes,
         _DOMAINS.index(dataset.domain))
-    with open(path, "wb") as fh:
+    with _atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(dataset.inputs.astype("<f8").tobytes())
         fh.write(dataset.labels.astype("<i8").tobytes())
@@ -226,7 +249,7 @@ def export_csv(dataset: Dataset, path) -> None:
     repr, no quoting, CRLF line ends), written a row at a time so that no
     whole-matrix list of Python floats is built.
     """
-    with open(path, "w", newline="") as fh:
+    with _atomic_write(path, "w", newline="") as fh:
         n_pixels = int(np.prod(dataset.inputs.shape[1:])) if len(dataset) else 0
         fh.write(",".join([f"p{i}" for i in range(n_pixels)] + ["label"])
                  + "\r\n")

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from smile_lab import data
+from smile_lab import data, model, train
 
 
 SMALL = data.TaskSpec(samples_per_class=6, seed=0)
@@ -195,6 +197,55 @@ def test_export_csv(tmp_path):
     assert lines[0].endswith(",label")
     first = lines[1].split(",")
     assert len(first) == 16 * 16 * 1 + 1
+
+
+def test_atomic_write_keeps_the_old_file_when_the_writer_raises(tmp_path):
+    path = tmp_path / "artifact.bin"
+    path.write_bytes(b"old bytes")
+    with pytest.raises(RuntimeError):
+        with data._atomic_write(path, "wb") as fh:
+            fh.write(b"new")
+            raise RuntimeError("writer failed")
+    assert path.read_bytes() == b"old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+    with data._atomic_write(path, "w", newline="") as fh:
+        fh.write("a\r\nb\n")
+    assert path.read_bytes() == b"a\r\nb\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+
+
+def _write_checkpoint(path, broken):
+    weights = model.init_weights(model.Architecture(image_size=4), seed=0)
+    if broken:
+        weights.params["zz"] = [1.0]    # written last; it has no .ndim
+    model.save_checkpoint(weights, path)
+
+
+def _write_dataset(path, broken):
+    dataset = data.generate_source(SMALL)
+    if broken:
+        dataset.labels = list(dataset.labels)   # fails after the pixels
+    data.save(dataset, path)
+
+
+def _write_metrics(path, broken):
+    row = {"iteration": 0, "lr": 0.1,
+           **{f.name: 1.0 for f in dataclasses.fields(train.LossBreakdown)}}
+    if broken:
+        del row["total"]                # after the header line
+    train.Metrics(loss_rows=[row]).write_csv(path)
+
+
+@pytest.mark.parametrize("write", [_write_checkpoint, _write_dataset,
+                                   _write_metrics])
+def test_a_writer_that_raises_leaves_the_old_artifact(tmp_path, write):
+    path = tmp_path / "artifact"
+    write(path, broken=False)
+    before = path.read_bytes()
+    with pytest.raises((AttributeError, KeyError)):
+        write(path, broken=True)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
 
 def test_dataset_validation():

@@ -1,8 +1,12 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import smile_lab
 from smile_lab import data, train
 from smile_lab.config import load_config
 
@@ -42,20 +46,58 @@ def test_sweep_subsample_table_is_the_ablation_suite_means(capsys):
                                 f"{summary['D-SMILE'][0]:.4f}"]
 
 
-def test_pipeline_artifacts_match_golden_digests():
+def _digests(lines):
+    return {name: digest for digest, name in
+            (line.split("  ") for line in lines if line[:1] != "#")}
+
+
+def _golden_digests():
+    """The recorded digests; skips naming the fingerprint fields in which
+    this machine differs from the one that recorded them."""
     golden = _load_script("golden_digests")
     lines = golden.DIGESTS_FILE.read_text().splitlines()
     recorded = dict(line[2:].split(": ", 1) for line in lines
                     if line.startswith("# "))
-    expected = {name: digest for digest, name in
-                (line.split("  ") for line in lines if line[:1] != "#")}
     here = golden.fingerprint()
     differ = sorted(key for key in recorded | here
                     if recorded.get(key) != here.get(key))
     if differ:
         pytest.skip("golden digests were computed with another "
                     + ", ".join(differ))
-    digests = golden.artifact_digests()
-    changed = sorted(name for name in expected.keys() | digests.keys()
-                     if expected.get(name) != digests.get(name))
+    return _digests(lines)
+
+
+def _run_golden_digests(blas_threads, *args):
+    """{artifact: sha256} from scripts/golden_digests.py in a new
+    interpreter, on this package, with the given OpenBLAS thread count
+    (which OpenBLAS reads once, when it loads)."""
+    src = str(Path(smile_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "golden_digests.py"), *args],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return _digests(proc.stdout.splitlines())
+
+
+def _changed(expected, digests):
+    return sorted(name for name in expected.keys() | digests.keys()
+                  if expected.get(name) != digests.get(name))
+
+
+def test_pipeline_artifacts_match_golden_digests():
+    # one BLAS thread, as the benchmark pins it: the run then takes a core,
+    # not the machine, when other tests run beside it
+    expected = _golden_digests()
+    changed = _changed(expected, _run_golden_digests(1))
     assert not changed, f"artifacts whose bytes changed: {changed}"
+
+
+def test_checkpoint_digests_match_with_two_blas_threads():
+    expected = _golden_digests()
+    digests = _run_golden_digests(2, "--checkpoints")
+    assert sorted(digests) == ["pretrained.ckpt", "student_SMILE.ckpt"]
+    changed = _changed({name: expected[name] for name in digests}, digests)
+    assert not changed, f"checkpoints whose bytes changed: {changed}"
