@@ -15,8 +15,8 @@ arithmetic shows it by comparing this output before and after:
 The output starts with ``# key: value`` lines that fingerprint what the bits
 depend on besides the source. ``tests/golden_digests.txt`` holds this
 output, computed with one OpenBLAS thread, and ``tests/test_scripts.py``
-compares a run of this script with it, once with one OpenBLAS thread and
-once, with ``--checkpoints``, with two. A change that alters results on
+compares a run of this script with one OpenBLAS thread with it, and the
+SMILE artifacts of a shorter run with two. A change that alters results on
 purpose rewrites that file:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/golden_digests.py \
@@ -96,14 +96,8 @@ def _run(argv) -> None:
         raise RuntimeError(f"{' '.join(argv)} exited {code}")
 
 
-def artifact_digests(checkpoints_only: bool = False) -> dict:
-    """Run the pipeline in a temporary directory; {artifact name: sha256}.
-
-    ``checkpoints_only`` runs gen-data, pretrain and one SMILE train run
-    (about a quarter of the time) for pretrained.ckpt and
-    student_SMILE.ckpt; SMILE makes every kind of forward and backward pass
-    the other modes make.
-    """
+def artifact_digests() -> dict:
+    """Run the pipeline in a temporary directory; {artifact name: sha256}."""
     # the config names the output directory; keep the environment out of it
     env_out = os.environ.pop(cli.ENV_OUTPUT_DIR, None)
     cwd = os.getcwd()
@@ -114,12 +108,6 @@ def artifact_digests(checkpoints_only: bool = False) -> dict:
             os.chdir(tmp)
             Path("exp.yaml").write_text(CONFIG)
             out = Path("out")
-            if checkpoints_only:
-                _run(["gen-data"])
-                _run(["pretrain"])
-                _run(["train", "train.mode=SMILE"])
-                return {name: sha256(out / name) for name in
-                        ("pretrained.ckpt", "student_SMILE.ckpt")}
             _run(["gen-data", "--csv"])
             _run(["pretrain"])
             # the variants run first: each writes, then renames, the
@@ -146,13 +134,10 @@ def artifact_digests(checkpoints_only: bool = False) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--checkpoints", action="store_true",
-                        help="only pretrained.ckpt and student_SMILE.ckpt, "
-                             "from gen-data, pretrain and one SMILE run")
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(
+        argv)
     try:
-        digests = artifact_digests(args.checkpoints)
+        digests = artifact_digests()
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1

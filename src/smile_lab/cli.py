@@ -13,7 +13,7 @@ import numpy as np
 
 from . import data, interpolation, model, train
 from .config import ConfigError, ExperimentConfig, load_config
-from .data import _atomic_write
+from .data import atomic_write
 
 ENV_OUTPUT_DIR = "SMILE_LAB_OUTPUT_DIR"
 
@@ -147,7 +147,7 @@ def cmd_diagnose(cfg: ExperimentConfig, args) -> None:
         reports[layer] = interpolation.estimate_IL(fn, target_test, il_cfg)
     payload = {"model": source_name,
                **{layer: dataclasses.asdict(r) for layer, r in reports.items()}}
-    with _atomic_write(out / "il_report.json") as fh:
+    with atomic_write(out / "il_report.json") as fh:
         fh.write(json.dumps(payload, indent=2))
 
     rng = np.random.default_rng(cfg.diagnostics.seed)
@@ -189,7 +189,7 @@ def cmd_report(cfg: ExperimentConfig, args) -> None:
         raise FileNotFoundError(
             "no artifacts to report; run the pipeline first")
     text = "\n".join(lines) + "\n"
-    with _atomic_write(out / "summary.txt") as fh:
+    with atomic_write(out / "summary.txt") as fh:
         fh.write(text)
     print(text, end="")
 

@@ -26,7 +26,7 @@ class DatasetFormatError(ValueError):
 
 
 @contextlib.contextmanager
-def _atomic_write(path, mode: str = "w", **open_kwargs):
+def atomic_write(path, mode: str = "w", **open_kwargs):
     """Open a temporary file beside ``path`` for writing; it replaces
     ``path`` only when the block completes.
 
@@ -208,7 +208,7 @@ def save(dataset: Dataset, path) -> None:
     header = struct.pack(
         "<4sIIIIIIB", _MAGIC, _VERSION, h, w, c, n, dataset.n_classes,
         _DOMAINS.index(dataset.domain))
-    with _atomic_write(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(dataset.inputs.astype("<f8").tobytes())
         fh.write(dataset.labels.astype("<i8").tobytes())
@@ -249,7 +249,7 @@ def export_csv(dataset: Dataset, path) -> None:
     repr, no quoting, CRLF line ends), written a row at a time so that no
     whole-matrix list of Python floats is built.
     """
-    with _atomic_write(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         n_pixels = int(np.prod(dataset.inputs.shape[1:])) if len(dataset) else 0
         fh.write(",".join([f"p{i}" for i in range(n_pixels)] + ["label"])
                  + "\r\n")

@@ -18,7 +18,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from . import model
-from .data import _atomic_write
+from .data import atomic_write
 
 TRAJECTORY_COEFFICIENTS = (0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -216,7 +216,7 @@ def feature_interp_trajectory(
 
 
 def write_trajectory_csv(rows: List[TrajectoryPoint], path) -> None:
-    with _atomic_write(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair_id", "lambda", "x", "y"])
         for r in rows:

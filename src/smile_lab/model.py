@@ -15,7 +15,7 @@ from typing import Dict
 import numpy as np
 
 from . import tensor as T
-from .data import _atomic_write
+from .data import atomic_write
 
 _CKPT_MAGIC = b"SMWT"
 _CKPT_VERSION = 1
@@ -141,8 +141,8 @@ def feature_extract_t(x: np.ndarray, wt: Dict[str, T.Tensor]) -> T.Tensor:
     """conv-relu-conv-relu-pool-dense-relu on a batch (N, H, W, C)."""
     if x.ndim != 4:
         raise ValueError("expected a batch of shape (N, H, W, C)")
-    h = T.conv2d(T.constant(x), wt["conv1_k"], bias=wt["conv1_b"], relu=True)
-    h = T.conv2d(h, wt["conv2_k"], bias=wt["conv2_b"], relu=True)
+    h = T.conv2d(T.constant(x), wt["conv1_k"], bias_relu=wt["conv1_b"])
+    h = T.conv2d(h, wt["conv2_k"], bias_relu=wt["conv2_b"])
     pooled = _global_mean_pool(h)
     return T.relu(T.add(T.matmul(pooled, wt["proj_w"]), wt["proj_b"]))
 
@@ -155,7 +155,7 @@ def head_logits_t(feats: T.Tensor, wt: Dict[str, T.Tensor],
 
 def _conv2d_np(x: np.ndarray, kernel: np.ndarray,
                bias: np.ndarray) -> np.ndarray:
-    # tensor.conv2d(x, kernel, bias=bias, relu=True) without the graph
+    # tensor.conv2d(x, kernel, bias_relu=bias) without the graph
     n, h, w, _ = x.shape
     k, cout = kernel.shape[0], kernel.shape[3]
     out = (T.im2col(x, k) @ kernel.reshape(-1, cout)).reshape(n, h, w, cout)
@@ -201,7 +201,7 @@ def init_from_pretrained(pretrained: ModelWeights, seed: int):
 def save_checkpoint(weights: ModelWeights, path) -> None:
     arch_vals = weights.arch.as_tuple()
     names = sorted(weights.params)
-    with _atomic_write(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(struct.pack("<4sI", _CKPT_MAGIC, _CKPT_VERSION))
         fh.write(struct.pack(f"<{len(arch_vals)}I", *arch_vals))
         fh.write(struct.pack("<I", len(names)))

@@ -176,16 +176,15 @@ def im2col(x: np.ndarray, k: int) -> np.ndarray:
     return windows.reshape(n * h * w, k * k * cin)
 
 
-def conv2d(x: Tensor, kernel: Tensor, *, bias: Tensor | None = None,
-           relu: bool = False) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, *,
+           bias_relu: Tensor | None = None) -> Tensor:
     """2-D convolution, stride 1, zero 'same' padding, square odd kernel,
     optionally followed by a bias add and a ReLU in the same node.
 
-    x: (N, H, W, Cin); kernel: (k, k, Cin, Cout); bias: (Cout,)
-    -> (N, H, W, Cout). ``conv2d(x, k, bias=b, relu=True)`` computes the
-    bits of ``relu(add(conv2d(x, k), b))`` and their gradients, without the
-    two intermediate nodes, their activations and their zero-filled
-    gradients.
+    x: (N, H, W, Cin); kernel: (k, k, Cin, Cout); bias_relu: (Cout,)
+    -> (N, H, W, Cout). ``conv2d(x, k, bias_relu=b)`` computes the bits of
+    ``relu(add(conv2d(x, k), b))`` and their gradients, without the two
+    intermediate nodes, their activations and their zero-filled gradients.
     """
     if x.values.ndim != 4 or kernel.values.ndim != 4:
         raise ValueError("conv2d expects 4-D input and kernel")
@@ -198,25 +197,24 @@ def conv2d(x: Tensor, kernel: Tensor, *, bias: Tensor | None = None,
     cout = kernel.values.shape[3]
     p = k // 2
     parents = (x, kernel)
-    if bias is not None:
-        if bias.values.shape != (cout,):
-            raise ValueError(f"conv2d bias must have shape ({cout},)")
-        parents += (bias,)
+    if bias_relu is not None:
+        if bias_relu.values.shape != (cout,):
+            raise ValueError(f"conv2d bias_relu must have shape ({cout},)")
+        parents += (bias_relu,)
 
     cols = im2col(x.values, k)
     kmat = kernel.values.reshape(k * k * cin, cout)
     out_vals = (cols @ kmat).reshape(n, h, w, cout)
-    if bias is not None:
-        out_vals += bias.values
+    if bias_relu is not None:
+        out_vals += bias_relu.values
 
     def backward(g):
-        if relu:
+        if bias_relu is not None:
             # out_vals > 0 exactly where the pre-activation is. Multiplying
             # by the mask took 0.23 ms at conv2's size (batch 32) on a
             # 2-vCPU x86 host, np.where(mask, g, 0.0) 0.80 ms.
             g = g * (out_vals > 0.0)
-        if bias is not None:
-            bias._accumulate(_unbroadcast(g, bias.values.shape))
+            bias_relu._accumulate(_unbroadcast(g, bias_relu.values.shape))
         gmat = g.reshape(n * h * w, cout)
         kernel._accumulate((cols.T @ gmat).reshape(kernel.values.shape))
         if not x.requires_grad:
@@ -247,7 +245,7 @@ def conv2d(x: Tensor, kernel: Tensor, *, bias: Tensor | None = None,
     # The node's finite check sees the pre-activation, so a -inf that the
     # ReLU would clamp to 0 still raises; out.values is out_vals itself.
     out = Tensor(out_vals, parents, backward)
-    if relu:
+    if bias_relu is not None:
         np.maximum(out_vals, 0.0, out=out_vals)
     return out
 

@@ -11,7 +11,7 @@ from typing import Dict, Iterable, List, Sequence
 import numpy as np
 
 from . import model, tensor as T
-from .data import Dataset, _atomic_write
+from .data import Dataset, atomic_write
 from .losses import LossBreakdown, LossWeights, mixed_ce, total_objective
 from .mixup import mix, pair_batch, sample_lambda
 
@@ -121,7 +121,7 @@ class Metrics:
     def write_csv(self, path) -> None:
         columns = ["iteration", "lr", *(f.name for f in fields(LossBreakdown))]
         eval_by_iter = {r["iteration"]: r for r in self.eval_rows}
-        with _atomic_write(path, "w", newline="") as fh:
+        with atomic_write(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns + ["train_acc", "test_acc"])
             for row in self.loss_rows:
@@ -365,7 +365,7 @@ def run_ablation_suite(pretrained: model.ModelWeights, target_train: Dataset,
 
 
 def write_ablation_csv(rows: List[AblationRow], summary: dict, path) -> None:
-    with _atomic_write(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "seed", "test_accuracy"])
         for r in rows:

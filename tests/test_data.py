@@ -203,12 +203,12 @@ def test_atomic_write_keeps_the_old_file_when_the_writer_raises(tmp_path):
     path = tmp_path / "artifact.bin"
     path.write_bytes(b"old bytes")
     with pytest.raises(RuntimeError):
-        with data._atomic_write(path, "wb") as fh:
+        with data.atomic_write(path, "wb") as fh:
             fh.write(b"new")
             raise RuntimeError("writer failed")
     assert path.read_bytes() == b"old bytes"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
-    with data._atomic_write(path, "w", newline="") as fh:
+    with data.atomic_write(path, "w", newline="") as fh:
         fh.write("a\r\nb\n")
     assert path.read_bytes() == b"a\r\nb\n"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import smile_lab
-from smile_lab import data, train
+from smile_lab import cli, data, train
 from smile_lab.config import load_config
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -67,19 +67,20 @@ def _golden_digests():
     return _digests(lines)
 
 
-def _run_golden_digests(blas_threads, *args):
-    """{artifact: sha256} from scripts/golden_digests.py in a new
-    interpreter, on this package, with the given OpenBLAS thread count
-    (which OpenBLAS reads once, when it loads)."""
+def _env(blas_threads):
+    """This environment with this package on the path and the given OpenBLAS
+    thread count, which OpenBLAS reads once, when it loads."""
     src = str(Path(smile_lab.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "golden_digests.py"), *args],
-        env=env, capture_output=True, text=True)
+    return dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def _run(argv, **kwargs):
+    proc = subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, **kwargs)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return _digests(proc.stdout.splitlines())
+    return proc.stdout
 
 
 def _changed(expected, digests):
@@ -91,13 +92,24 @@ def test_pipeline_artifacts_match_golden_digests():
     # one BLAS thread, as the benchmark pins it: the run then takes a core,
     # not the machine, when other tests run beside it
     expected = _golden_digests()
-    changed = _changed(expected, _run_golden_digests(1))
+    stdout = _run([str(SCRIPTS / "golden_digests.py")], env=_env(1))
+    changed = _changed(expected, _digests(stdout.splitlines()))
     assert not changed, f"artifacts whose bytes changed: {changed}"
 
 
-def test_checkpoint_digests_match_with_two_blas_threads():
+def test_smile_artifacts_match_with_two_blas_threads(tmp_path):
+    # gen-data, pretrain and one SMILE run at the digest script's config:
+    # SMILE makes every kind of forward and backward pass the other modes
+    # make, and its metrics come from the graph-free evaluation path
     expected = _golden_digests()
-    digests = _run_golden_digests(2, "--checkpoints")
-    assert sorted(digests) == ["pretrained.ckpt", "student_SMILE.ckpt"]
-    changed = _changed({name: expected[name] for name in digests}, digests)
-    assert not changed, f"checkpoints whose bytes changed: {changed}"
+    golden = _load_script("golden_digests")
+    (tmp_path / "exp.yaml").write_text(golden.CONFIG)
+    env = _env(2)
+    env.pop(cli.ENV_OUTPUT_DIR, None)   # the config names the output dir
+    for argv in (["gen-data"], ["pretrain"], ["train", "train.mode=SMILE"]):
+        _run(["-m", "smile_lab.cli", "-c", "exp.yaml", *argv],
+             cwd=tmp_path, env=env)
+    names = ("pretrained.ckpt", "student_SMILE.ckpt", "metrics_SMILE.csv")
+    digests = {name: golden.sha256(tmp_path / "out" / name) for name in names}
+    changed = _changed({name: expected[name] for name in names}, digests)
+    assert not changed, f"artifacts whose bytes changed: {changed}"

@@ -217,47 +217,40 @@ def test_conv2d_input_gradient_multichannel(x_shape, k, cout):
               rng.normal(size=x_shape))
 
 
-def _conv_layer(x_vals, k_vals, b_vals, weights, make_input, fused,
-                bias=True, relu=True):
+def _conv_layer(x_vals, k_vals, b_vals, weights, make_input, fused):
     """Output and (x, kernel, bias) gradients of a conv layer under the loss
     mean(out * weights), built as one fused node or as conv, add and relu."""
     x, kernel, b = make_input(x_vals), T.Tensor(k_vals), T.Tensor(b_vals)
     if fused:
-        out = T.conv2d(x, kernel, bias=b if bias else None, relu=relu)
+        out = T.conv2d(x, kernel, bias_relu=b)
     else:
-        out = T.conv2d(x, kernel)
-        out = T.add(out, b) if bias else out
-        out = T.relu(out) if relu else out
+        out = T.relu(T.add(T.conv2d(x, kernel), b))
     T.backward(T.mean(T.multiply(out, T.constant(weights))))
     return out.values, x.grad, kernel.grad, b.grad
 
 
-@pytest.mark.parametrize("bias,relu", [(True, True), (True, False),
-                                       (False, True)])
 @pytest.mark.parametrize("x_shape,k,cout,make_input", [
     ((3, 5, 5, 3), 3, 4, T.Tensor),
     ((2, 7, 7, 2), 5, 3, T.Tensor),
     ((1, 4, 6, 2), 1, 5, T.Tensor),
     ((4, 16, 16, 1), 3, 8, T.constant),     # the model's first layer
 ])
-def test_fused_conv2d_matches_unfused_graph(x_shape, k, cout, make_input,
-                                            bias, relu):
+def test_fused_conv2d_matches_unfused_graph(x_shape, k, cout, make_input):
     rng = np.random.default_rng(13)
     x_vals = rng.normal(size=x_shape)
     k_vals = rng.normal(size=(k, k, x_shape[3], cout))
     b_vals = rng.normal(size=cout)          # clamps a share of every channel
     weights = rng.normal(size=x_shape[:3] + (cout,))
     unfused, fused = (_conv_layer(x_vals, k_vals, b_vals, weights,
-                                  make_input, f, bias, relu)
+                                  make_input, f)
                       for f in (False, True))
-    if relu:
-        assert 0 < np.count_nonzero(fused[0] == 0.0) < fused[0].size
+    assert 0 < np.count_nonzero(fused[0] == 0.0) < fused[0].size
     for ref, got in zip(unfused, fused):
         assert (ref is None) == (got is None)
         if ref is not None:
             assert np.array_equal(ref, got)
     assert (fused[1] is None) == (make_input is T.constant)
-    assert (fused[3] is None) == (not bias)
+    assert fused[3] is not None
 
 
 def test_conv2d_without_bias_or_relu_keeps_its_results():
@@ -265,7 +258,7 @@ def test_conv2d_without_bias_or_relu_keeps_its_results():
     x_vals = rng.normal(size=(3, 5, 5, 3))
     k_vals = rng.normal(size=(3, 3, 3, 4))
     results = []
-    for kwargs in ({}, {"bias": None, "relu": False}):
+    for kwargs in ({}, {"bias_relu": None}):
         x, kernel = T.Tensor(x_vals), T.Tensor(k_vals)
         out = T.conv2d(x, kernel, **kwargs)
         T.backward(T.sum_of_squares(out))
@@ -286,14 +279,15 @@ def test_fused_conv2d_bias_gradient():
     kernel = T.constant(rng.normal(size=(3, 3, 2, 3)))
     weights = T.constant(rng.normal(size=(2, 4, 4, 3)))
     _fd_check(lambda b: T.mean(T.multiply(
-        T.conv2d(x, kernel, bias=b, relu=True), weights)),
+        T.conv2d(x, kernel, bias_relu=b), weights)),
         rng.normal(size=3))
 
 
 def test_fused_conv2d_rejects_a_bias_of_another_shape():
     with pytest.raises(ValueError):
         T.conv2d(T.Tensor(np.ones((1, 3, 3, 1))),
-                 T.Tensor(np.ones((1, 1, 1, 2))), bias=T.Tensor(np.ones(3)))
+                 T.Tensor(np.ones((1, 1, 1, 2))),
+                 bias_relu=T.Tensor(np.ones(3)))
 
 
 @pytest.mark.parametrize("x_val,k_val,b_val", [
@@ -308,7 +302,7 @@ def test_fused_conv2d_checks_the_pre_activation(x_val, k_val, b_val):
     kernel = T.Tensor(np.full((1, 1, 1, 1), k_val))
     bias = T.Tensor(np.full(1, b_val))
     with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError):
-        T.conv2d(x, kernel, bias=bias, relu=True)
+        T.conv2d(x, kernel, bias_relu=bias)
 
 
 def test_non_finite_raises():
