@@ -6,7 +6,7 @@ import contextlib
 import csv
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -172,6 +172,32 @@ def _collect_grads(tensors: Dict[str, T.Tensor]) -> Dict[str, np.ndarray]:
             for name, t in tensors.items()}
 
 
+def _training_step(weights: model.ModelWeights,
+                   objective: Callable[[Dict[str, T.Tensor]], tuple],
+                   state: Dict[str, np.ndarray], lr: float, momentum: float,
+                   weight_decay: float, grad_clip: float = 0.0):
+    """One SGD step on weights in place; returns objective's second value.
+
+    ``objective(wt)`` builds the step's graph on the Tensors ``wt`` of the
+    weights and returns ``(scalar root, extra)``. The graph (activations,
+    their gradients, captured im2col matrices) is only referenced from this
+    frame, so it is freed when the step returns, before the next step's
+    forward pass. A nonzero grad_clip rescales the gradients to that global
+    norm when they exceed it.
+    """
+    wt = model.as_tensors(weights)
+    root, extra = objective(wt)
+    T.backward(root)
+    grads = _collect_grads(wt)
+    if grad_clip:
+        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if norm > grad_clip:
+            factor = grad_clip / norm
+            grads = {n: g * factor for n, g in grads.items()}
+    T.sgd_step(weights.params, grads, state, lr, momentum, weight_decay)
+    return extra
+
+
 @contextlib.contextmanager
 def diverges_at(k: int, phase: str):
     """Re-raise a NonFiniteError from one training step, or from the
@@ -200,20 +226,21 @@ def pretrain_source(dataset: Dataset, config: PretrainConfig) -> model.ModelWeig
     rng = np.random.default_rng(config.seed)
     for k in range(1, config.iterations + 1):
         x, y = _sample_batch(dataset, config.batch_size, rng)
-        with diverges_at(k, "pretraining"):
-            wt = model.as_tensors(weights)
-            if config.use_mixup:
-                lam = sample_lambda(config.alpha, rng)
-                pairing = pair_batch(len(x), rng)
-                x, y_j = mix(x, x[pairing], lam), y[pairing]
-            else:
-                lam, y_j = 0.0, y
+        if config.use_mixup:
+            lam = sample_lambda(config.alpha, rng)
+            pairing = pair_batch(len(x), rng)
+            x, y_j = mix(x, x[pairing], lam), y[pairing]
+        else:
+            lam, y_j = 0.0, y
+
+        def objective(wt):
             logits = model.head_logits_t(model.feature_extract_t(x, wt), wt,
                                          "src")
-            loss = mixed_ce(logits, y, y_j, dataset.n_classes, lam)
-            T.backward(loss)
-            T.sgd_step(weights.params, _collect_grads(wt), state, config.lr,
-                       config.momentum, config.weight_decay)
+            return mixed_ce(logits, y, y_j, dataset.n_classes, lam), None
+
+        with diverges_at(k, "pretraining"):
+            _training_step(weights, objective, state, config.lr,
+                           config.momentum, config.weight_decay)
     return weights
 
 
@@ -287,29 +314,22 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
             src_pairing = pair_batch(len(x_src), rng)
             if not config.shared_lambda:
                 lam_src = sample_lambda(config.alpha, rng)
-        with diverges_at(k, "training"):
-            wt = model.as_tensors(student)
-            total, breakdown = total_objective(
+
+        def objective(wt):
+            return total_objective(
                 wt, teacher, x, y, x_src, n_tgt_classes, lam, tgt_pairing,
                 src_pairing, eff_weights, use_mixup, config.compare_space,
                 lam_src)
-            T.backward(total)
-            grads = _collect_grads(wt)
-            if config.grad_clip:
-                norm = np.sqrt(sum(float((g * g).sum())
-                                   for g in grads.values()))
-                if norm > config.grad_clip:
-                    factor = config.grad_clip / norm
-                    grads = {n: g * factor for n, g in grads.items()}
-            T.sgd_step(student.params, grads, state, lr,
-                       config.momentum, config.weight_decay)
+
+        with diverges_at(k, "training"):
+            breakdown = _training_step(student, objective, state, lr,
+                                       config.momentum, config.weight_decay,
+                                       config.grad_clip)
 
         metrics.loss_rows.append({"iteration": k, "lr": lr,
                                   **asdict(breakdown)})
         if config.eval_every and (k % config.eval_every == 0
                                   or k == config.iterations):
-            # the step's graph is dead; free it before the eval batches
-            del wt, total, grads
             with diverges_at(k, "evaluation"):
                 row = {"iteration": k,
                        "train_acc": accuracy(student, target_train)}

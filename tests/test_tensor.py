@@ -296,8 +296,7 @@ def test_fused_conv2d_rejects_a_bias_of_another_shape():
     (1.0, -1.5e308, -1.5e308),      # the bias add overflows to -inf
 ])
 def test_fused_conv2d_checks_the_pre_activation(x_val, k_val, b_val):
-    # one pixel and one channel: a check of a sum of several huge values
-    # would overflow on its own
+    # one pixel and one channel: the one pre-activation value overflows
     x = T.constant(np.full((1, 1, 1, 1), x_val))
     kernel = T.Tensor(np.full((1, 1, 1, 1), k_val))
     bias = T.Tensor(np.full(1, b_val))
@@ -310,6 +309,10 @@ def test_non_finite_raises():
         T.Tensor([np.inf])
     with pytest.raises(T.NonFiniteError):
         T.multiply(T.Tensor([1e308]), T.Tensor([1e308]))
+    # finite values whose sum overflows are finite
+    with np.errstate(over="ignore"):
+        big = T.Tensor(np.full(2, -1.5e308))
+    assert np.array_equal(big.values, np.full(2, -1.5e308))
 
 
 def test_shape_mismatch_raises():
