@@ -19,9 +19,8 @@ ENV_OUTPUT_DIR = "SMILE_LAB_OUTPUT_DIR"
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
-    out = Path(os.environ.get(ENV_OUTPUT_DIR, cfg.output_dir))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory; gen-data alone creates it."""
+    return Path(os.environ.get(ENV_OUTPUT_DIR, cfg.output_dir))
 
 
 def _dataset_paths(out: Path) -> dict:
@@ -42,6 +41,7 @@ def _require(path: Path, produced_by: str) -> Path:
 
 def cmd_gen_data(cfg: ExperimentConfig, args) -> None:
     out = _out_dir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     paths = _dataset_paths(out)
     source = data.generate_source(cfg.task)
     target_full = data.derive_target(cfg.task)
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         _COMMANDS[args.command](cfg, args)
-    except (ConfigError, FileNotFoundError, ValueError,
+    except (ConfigError, OSError, ValueError,
             model.CheckpointError, data.DatasetFormatError,
             train.TrainingDiverged) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),

@@ -74,7 +74,7 @@ def _fill(target, values: dict, prefix: str = "") -> None:
 def _parse_yaml(text, where: str):
     try:
         return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -82,7 +82,7 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
     """The YAML file's mapping with the overrides folded in, built once."""
     raw = {}
     if path is not None:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = _parse_yaml(fh, str(path)) or {}
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")

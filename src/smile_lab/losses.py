@@ -1,8 +1,8 @@
 """The five loss terms of the self-distilled mixup objective.
 
-All terms are computed on one shared set of student weight Tensors so a
-single backward pass yields the full gradient. Teacher outputs enter as
-constants; no gradient ever reaches teacher parameters.
+All terms are computed on one shared set of student weight Tensors, whose
+leaves accumulate the gradients of every student pass. Teacher outputs
+enter as constants; no gradient ever reaches teacher parameters.
 """
 
 from __future__ import annotations
@@ -105,6 +105,29 @@ def source_label_mixup_loss(x_src: np.ndarray, student_t: Dict[str, T.Tensor],
     return distillation_loss(student_out, teacher_out.values, pairing, lam)
 
 
+def _backward_now(loss: T.Tensor) -> float:
+    """Backpropagate a loss the caller keeps no reference to; its value."""
+    T.backward(loss)
+    return float(loss.values)
+
+
+def _mixed_target_loss(student_t, teacher, x_tgt, y_tgt, n_classes, lam,
+                       pairing, gamma_fe, breakdown) -> T.Tensor:
+    """L_mxp + gamma_fe * L_fe: one forward on the mixed batch feeds both."""
+    student_feats = model.feature_extract_t(mix(x_tgt, x_tgt[pairing], lam),
+                                            student_t)
+    loss = mixed_ce(model.head_logits_t(student_feats, student_t, "tgt"),
+                    y_tgt, y_tgt[pairing], n_classes, lam)
+    breakdown.mxp = float(loss.values)
+    if gamma_fe > 0:
+        fe = distillation_loss(student_feats,
+                               model.feature_extract(x_tgt, teacher),
+                               pairing, lam)
+        breakdown.fe = float(fe.values)
+        loss = T.add(loss, T.scale(fe, gamma_fe))
+    return loss
+
+
 def total_objective(student_t: Dict[str, T.Tensor],
                     teacher: model.ModelWeights | None,
                     x_tgt: np.ndarray, y_tgt: np.ndarray,
@@ -115,39 +138,36 @@ def total_objective(student_t: Dict[str, T.Tensor],
                     compare_space: str = "logits",
                     lam_src: float | None = None):
     """Task cross-entropy plus, with use_mixup, the triplet regularizer
-    L_mxp + gamma_fe * L_fe + gamma_fc * L_fc.
+    L_mxp + gamma_fe * L_fe + gamma_fc * L_fc, backpropagated into the
+    leaves of student_t pass by pass: the clean target batch (task), the
+    mixed target batch (L_mxp + gamma_fe * L_fe), then the mixed source
+    batch (gamma_fc * L_fc). Each pass's graph is freed before the next
+    pass's forward runs. Backward from the sum of the three losses visits
+    them in the same order with the same seeds, so the leaf gradients have
+    the same bits.
 
-    lam mixes the target batch and lam_src (default lam) the source batch.
-    Terms with zero weight are skipped entirely (they contribute neither to
-    the value nor the graph), which keeps reduced modes bit-identical to the
-    plain-mixup trainer.
+    Returns (total, breakdown); total is a parentless Tensor holding the
+    objective's value. lam mixes the target batch and lam_src (default lam)
+    the source batch. Terms with zero weight are skipped entirely (they
+    contribute neither to the value nor the graph), which keeps reduced
+    modes bit-identical to the plain-mixup trainer.
     """
-    task = task_loss(x_tgt, y_tgt, student_t, n_target_classes)
-    breakdown = LossBreakdown(task=float(task.values))
-    total = task
+    use_source = use_mixup and weights.fc > 0
+    if use_source and (x_src is None or src_pairing is None):
+        raise ValueError("source batch required when gamma_fc > 0")
+    breakdown = LossBreakdown(task=_backward_now(
+        task_loss(x_tgt, y_tgt, student_t, n_target_classes)))
+    total = breakdown.task
     if use_mixup:
-        # one forward on the mixed batch feeds both the mixup CE and the
-        # feature term
-        x_mixed = mix(x_tgt, x_tgt[tgt_pairing], lam)
-        student_feats = model.feature_extract_t(x_mixed, student_t)
-        logits = model.head_logits_t(student_feats, student_t, "tgt")
-        triplet = mixed_ce(logits, y_tgt, y_tgt[tgt_pairing],
-                           n_target_classes, lam)
-        breakdown.mxp = float(triplet.values)
-        if weights.fe > 0:
-            fe = distillation_loss(student_feats,
-                                   model.feature_extract(x_tgt, teacher),
-                                   tgt_pairing, lam)
-            breakdown.fe = float(fe.values)
-            triplet = T.add(triplet, T.scale(fe, weights.fe))
-        if weights.fc > 0:
-            if x_src is None or src_pairing is None:
-                raise ValueError("source batch required when gamma_fc > 0")
+        triplet = _backward_now(_mixed_target_loss(
+            student_t, teacher, x_tgt, y_tgt, n_target_classes, lam,
+            tgt_pairing, weights.fe, breakdown))
+        if use_source:
             fc = source_label_mixup_loss(
                 x_src, student_t, teacher, lam if lam_src is None else lam_src,
                 src_pairing, compare_space)
             breakdown.fc = float(fc.values)
-            triplet = T.add(triplet, T.scale(fc, weights.fc))
-        total = T.add(total, triplet)
-    breakdown.total = float(total.values)
-    return total, breakdown
+            triplet += _backward_now(T.scale(fc, weights.fc))
+        total += triplet
+    breakdown.total = total
+    return T.Tensor(total), breakdown

@@ -53,7 +53,9 @@ def check_finite(values: np.ndarray, context: str) -> None:
     # a NaN or Inf element makes sum() non-finite (inf+inf stays inf,
     # inf-inf -> nan), so a finite sum clears the array; a non-finite sum
     # can also be an overflow of finite values, so the elements decide
-    if not np.isfinite(values.sum()) and not np.isfinite(values).all():
+    with np.errstate(over="ignore", invalid="ignore"):   # no warning
+        total = values.sum()
+    if not np.isfinite(total) and not np.isfinite(values).all():
         raise NonFiniteError(f"non-finite values in {context}")
 
 

@@ -173,21 +173,19 @@ def _collect_grads(tensors: Dict[str, T.Tensor]) -> Dict[str, np.ndarray]:
 
 
 def _training_step(weights: model.ModelWeights,
-                   objective: Callable[[Dict[str, T.Tensor]], tuple],
+                   objective: Callable[[Dict[str, T.Tensor]], object],
                    state: Dict[str, np.ndarray], lr: float, momentum: float,
                    weight_decay: float, grad_clip: float = 0.0):
-    """One SGD step on weights in place; returns objective's second value.
+    """One SGD step on weights in place; returns what objective returns.
 
     ``objective(wt)`` builds the step's graph on the Tensors ``wt`` of the
-    weights and returns ``(scalar root, extra)``. The graph (activations,
-    their gradients, captured im2col matrices) is only referenced from this
-    frame, so it is freed when the step returns, before the next step's
-    forward pass. A nonzero grad_clip rescales the gradients to that global
-    norm when they exceed it.
+    weights and backpropagates it into them. Nothing outside the objective
+    holds the graph (activations, their gradients, captured im2col
+    matrices), so it is freed before the update. A nonzero grad_clip
+    rescales the gradients to that global norm when they exceed it.
     """
     wt = model.as_tensors(weights)
-    root, extra = objective(wt)
-    T.backward(root)
+    extra = objective(wt)
     grads = _collect_grads(wt)
     if grad_clip:
         norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
@@ -236,7 +234,7 @@ def pretrain_source(dataset: Dataset, config: PretrainConfig) -> model.ModelWeig
         def objective(wt):
             logits = model.head_logits_t(model.feature_extract_t(x, wt), wt,
                                          "src")
-            return mixed_ce(logits, y, y_j, dataset.n_classes, lam), None
+            T.backward(mixed_ce(logits, y, y_j, dataset.n_classes, lam))
 
         with diverges_at(k, "pretraining"):
             _training_step(weights, objective, state, config.lr,
@@ -319,7 +317,7 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
             return total_objective(
                 wt, teacher, x, y, x_src, n_tgt_classes, lam, tgt_pairing,
                 src_pairing, eff_weights, use_mixup, config.compare_space,
-                lam_src)
+                lam_src)[1]
 
         with diverges_at(k, "training"):
             breakdown = _training_step(student, objective, state, lr,

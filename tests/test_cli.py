@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 
 import pytest
 
@@ -349,3 +350,74 @@ def test_diagnose_matches_independent_estimates(workdir, tmp_path, checkpoint):
         expected = interpolation.estimate_IL(
             fn, target_test, dataclasses.replace(diagnostics, layer=layer))
         assert report[layer] == json.loads(expected.to_json())
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """An output directory after gen-data with FAST_YAML."""
+    root = tmp_path_factory.mktemp("generated")
+    (root / "exp.yaml").write_text(FAST_YAML)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(cli.ENV_OUTPUT_DIR, str(root / "out"))
+        assert cli.main(["-c", str(root / "exp.yaml"), "gen-data"]) == 0
+    return root / "out"
+
+
+def _snapshot(root):
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+# Each row: what to prepare under the run's root ("data" copies the
+# generated datasets, "dir" makes a directory, bytes make a file; exp.yaml
+# holds FAST_YAML unless a row prepares it), the argv after "-c exp.yaml"
+# with the output directory as {out}, and the error the one line names.
+@pytest.mark.parametrize("prepare, argv, error", [
+    pytest.param({"out": b"a file"}, ["gen-data"], "FileExistsError",
+                 id="output-dir-is-a-file"),
+    pytest.param({"exp.yaml": "dir"}, ["gen-data"], "IsADirectoryError",
+                 id="config-is-a-directory"),
+    pytest.param({"exp.yaml": b"seed: 0 # \xff\n"}, ["gen-data"],
+                 "ConfigError", id="config-is-not-UTF-8"),
+    pytest.param({"out": "data", "out/ckpt": "dir"},
+                 ["diagnose", "--checkpoint", "{out}/ckpt"],
+                 "IsADirectoryError", id="diagnose-reads-a-directory"),
+    pytest.param({"out": "data", "out/pretrained.ckpt": "dir"}, ["train"],
+                 "IsADirectoryError", id="train-reads-a-directory"),
+    pytest.param({"out": "data", "out/pretrained.ckpt": "dir"}, ["pretrain"],
+                 "IsADirectoryError", id="pretrain-writes-over-a-directory"),
+    pytest.param({}, ["gen-data", "train.bogus=1"], "ConfigError",
+                 id="unknown-override"),
+    pytest.param({}, ["pretrain"], "FileNotFoundError", id="missing-dataset"),
+    pytest.param({"out": "data", "out/bad.ckpt": b"junk"},
+                 ["diagnose", "--checkpoint", "{out}/bad.ckpt"],
+                 "CheckpointError", id="malformed-checkpoint"),
+    pytest.param({"out": "data", "out/target_test.bin": b"junk"},
+                 ["diagnose", "--affine-stub"], "DatasetFormatError",
+                 id="malformed-dataset"),
+    pytest.param({"out": "data"}, ["pretrain", "pretrain.lr=1000000000.0"],
+                 "TrainingDiverged", id="pretraining-diverges"),
+])
+def test_cli_errors_are_one_json_line(generated, tmp_path, monkeypatch, capsys,
+                                      prepare, argv, error):
+    (tmp_path / "exp.yaml").write_text(FAST_YAML)
+    for name, what in prepare.items():
+        path = tmp_path / name
+        if path.is_file():
+            path.unlink()
+        if what == "data":
+            shutil.copytree(generated, path)
+        elif what == "dir":
+            path.mkdir()
+        else:
+            path.write_bytes(what)
+    out = tmp_path / "out"
+    monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(out))
+    before = _snapshot(tmp_path)
+    code = cli.main(["-c", str(tmp_path / "exp.yaml"),
+                     *(a.format(out=out) for a in argv)])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == error
+    assert _snapshot(tmp_path) == before

@@ -277,3 +277,50 @@ def test_lam_src_defaults_to_lam(student):
     assert bd_a == bd_b
     for name in grads_a:
         assert np.array_equal(grads_a[name], grads_b[name])
+
+
+def _single_graph_reference(wt, teacher, weights, compare_space, lam,
+                            lam_src, src_pairing):
+    """The objective as one graph, its terms added in total_objective's
+    order and backpropagated from their sum; returns the sum's value."""
+    feats = model.feature_extract_t(mix(X, X[PAIR], lam), wt)
+    triplet = losses.mixed_ce(model.head_logits_t(feats, wt, "tgt"),
+                              Y, Y[PAIR], 5, lam)
+    if weights.fe > 0:
+        fe = losses.distillation_loss(feats, model.feature_extract(X, teacher),
+                                      PAIR, lam)
+        triplet = T.add(triplet, T.scale(fe, weights.fe))
+    if weights.fc > 0:
+        fc = losses.source_label_mixup_loss(
+            X_SRC, wt, teacher, lam if lam_src is None else lam_src,
+            src_pairing, compare_space)
+        triplet = T.add(triplet, T.scale(fc, weights.fc))
+    total = T.add(losses.task_loss(X, Y, wt, 5), triplet)
+    T.backward(total)
+    return float(total.values)
+
+
+@pytest.mark.parametrize("lam_src", [None, 0.8])
+@pytest.mark.parametrize("compare_space", ["logits", "probs"])
+@pytest.mark.parametrize("fe, fc", [(0.01, 0.1), (1.0, 0.0), (0.0, 2.5)])
+def test_per_pass_backward_matches_one_graph(student, fe, fc, compare_space,
+                                             lam_src):
+    teacher = model.init_weights(ARCH, seed=2)
+    weights = losses.LossWeights(fe=fe, fc=fc)
+    src_pair = np.array([5, 0, 1, 2, 3, 4])
+    wt_ref = model.as_tensors(student)
+    ref_total = _single_graph_reference(wt_ref, teacher, weights,
+                                        compare_space, 0.3, lam_src, src_pair)
+    wt = model.as_tensors(student)
+    total, bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.3, PAIR,
+                                       src_pair, weights, True, compare_space,
+                                       lam_src)
+
+    def assert_reference_grads():
+        for name, ref in _grads(wt_ref).items():
+            assert np.array_equal(wt[name].grad, ref), name
+
+    assert_reference_grads()
+    T.backward(total)       # total has no parents: this adds nothing
+    assert_reference_grads()
+    assert bd.total == ref_total == float(total.values)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -310,9 +312,18 @@ def test_non_finite_raises():
     with pytest.raises(T.NonFiniteError):
         T.multiply(T.Tensor([1e308]), T.Tensor([1e308]))
     # finite values whose sum overflows are finite
-    with np.errstate(over="ignore"):
-        big = T.Tensor(np.full(2, -1.5e308))
+    big = T.Tensor(np.full(2, -1.5e308))
     assert np.array_equal(big.values, np.full(2, -1.5e308))
+
+
+def test_finite_check_does_not_warn():
+    # outside any np.errstate: the check's own sum overflows (finite
+    # values) or is inf - inf, and neither may surface as a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T.Tensor(np.full(2, -1.5e308))
+        with pytest.raises(T.NonFiniteError):
+            T.Tensor(np.array([np.inf, -np.inf]))
 
 
 def test_shape_mismatch_raises():

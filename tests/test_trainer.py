@@ -310,22 +310,34 @@ def test_pretrain_matches_inline_loss_reference(monkeypatch, use_mixup):
     assert weights.equal(ref_weights)
 
 
+def _traced_peak(pretrained, datasets, mode, iterations):
+    """tracemalloc's peak over a train() call at batch 32, in bytes."""
+    src, tgt, _ = datasets
+    cfg = _cfg(mode=mode, iterations=iterations, batch_size=32)
+    tracemalloc.start()
+    try:
+        train.train(pretrained, tgt, src, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_training_step_frees_its_graph(pretrained, datasets):
     """A SMILE step's graph dies when the step returns, so three steps peak
     where one does instead of holding two graphs at once."""
-    src, tgt, _ = datasets
-
-    def peak_bytes(iterations):
-        cfg = _cfg(mode="SMILE", iterations=iterations, batch_size=32)
-        tracemalloc.start()
-        try:
-            train.train(pretrained, tgt, src, cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    one, three = peak_bytes(1), peak_bytes(3)
+    one, three = (_traced_peak(pretrained, datasets, "SMILE", n)
+                  for n in (1, 3))
     assert three <= 1.05 * one, (one, three)
+
+
+def test_one_student_pass_is_alive_at_a_time(pretrained, datasets):
+    """Each student pass is backpropagated and freed before the next one
+    runs, so the three passes of a SMILE step and the two of a D-SMILE step
+    peak where FT's single pass does."""
+    ft, d_smile, smile = (_traced_peak(pretrained, datasets, mode, 1)
+                          for mode in ("FT", "D-SMILE", "SMILE"))
+    assert d_smile <= 1.10 * ft, (ft, d_smile)
+    assert smile <= 1.10 * ft, (ft, smile)
 
 
 # Minor page faults per pretraining step in a fresh interpreter, over 50
