@@ -94,11 +94,11 @@ def source_label_mixup_loss(x_src: np.ndarray, student_t: Dict[str, T.Tensor],
 
     compare_space selects raw logits (default) or softmax probabilities.
     """
+    teacher_out = T.constant(model.head_logits(
+        model.feature_extract(x_src, teacher), teacher))
     x_mixed = mix(x_src, x_src[pairing], lam)
     student_out = model.head_logits_t(
         model.feature_extract_t(x_mixed, student_t), student_t, "src")
-    teacher_out = T.constant(model.head_logits(
-        model.feature_extract(x_src, teacher), teacher))
     if compare_space == "probs":
         student_out = T.softmax(student_out)
         teacher_out = T.softmax(teacher_out)
@@ -114,15 +114,15 @@ def _backward_now(loss: T.Tensor) -> float:
 def _mixed_target_loss(student_t, teacher, x_tgt, y_tgt, n_classes, lam,
                        pairing, gamma_fe, breakdown) -> T.Tensor:
     """L_mxp + gamma_fe * L_fe: one forward on the mixed batch feeds both."""
+    teacher_feats = (model.feature_extract(x_tgt, teacher) if gamma_fe > 0
+                     else None)
     student_feats = model.feature_extract_t(mix(x_tgt, x_tgt[pairing], lam),
                                             student_t)
     loss = mixed_ce(model.head_logits_t(student_feats, student_t, "tgt"),
                     y_tgt, y_tgt[pairing], n_classes, lam)
     breakdown.mxp = float(loss.values)
     if gamma_fe > 0:
-        fe = distillation_loss(student_feats,
-                               model.feature_extract(x_tgt, teacher),
-                               pairing, lam)
+        fe = distillation_loss(student_feats, teacher_feats, pairing, lam)
         breakdown.fe = float(fe.values)
         loss = T.add(loss, T.scale(fe, gamma_fe))
     return loss
@@ -142,9 +142,10 @@ def total_objective(student_t: Dict[str, T.Tensor],
     leaves of student_t pass by pass: the clean target batch (task), the
     mixed target batch (L_mxp + gamma_fe * L_fe), then the mixed source
     batch (gamma_fc * L_fc). Each pass's graph is freed before the next
-    pass's forward runs. Backward from the sum of the three losses visits
-    them in the same order with the same seeds, so the leaf gradients have
-    the same bits.
+    pass's forward runs, and a pass's teacher call runs before its student
+    forward, so no teacher im2col matrix coexists with a student graph.
+    Backward from the sum of the three losses visits them in the same order
+    with the same seeds, so the leaf gradients have the same bits.
 
     Returns (total, breakdown); total is a parentless Tensor holding the
     objective's value. lam mixes the target batch and lam_src (default lam)

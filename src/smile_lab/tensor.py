@@ -63,7 +63,9 @@ class Tensor:
     """N-d float64 array node on the computation graph.
 
     ``grad`` stays None until a backward pass from a scalar root reaches
-    this node. ``requires_grad`` is True for a leaf unless it is built by
+    this node, and after the pass only leaves (nodes that no primitive
+    built) keep it: an interior node hands its gradient to its closure.
+    ``requires_grad`` is True for a leaf unless it is built by
     ``constant()``; a primitive's output requires a gradient when any of its
     parents does.
     """
@@ -246,14 +248,18 @@ def conv2d(x: Tensor, kernel: Tensor, *,
         out_vals += bias_relu.values
 
     def backward(g):
+        nonlocal cols
         if bias_relu is not None:
-            # out_vals > 0 exactly where the pre-activation is. Multiplying
-            # by the mask took 0.23 ms at conv2's size (batch 32) on a
-            # 2-vCPU x86 host, np.where(mask, g, 0.0) 0.80 ms.
-            g = g * (out_vals > 0.0)
+            # out_vals > 0 exactly where the pre-activation is. g is this
+            # node's own gradient, which nothing reads after this closure,
+            # so the mask is applied in place. Multiplying by the mask took
+            # 0.23 ms at conv2's size (batch 32) on a 2-vCPU x86 host,
+            # np.where(mask, g, 0.0) 0.80 ms.
+            g *= out_vals > 0.0
             bias_relu._accumulate(_unbroadcast(g, bias_relu.values.shape))
         gmat = g.reshape(n * h * w, cout)
         kernel._accumulate((cols.T @ gmat).reshape(kernel.values.shape))
+        cols = None             # its last reader has run: free it for dcols
         if not x.requires_grad:
             return
         # col2im, channel-major. g is zero-padded to (H+2p, W+2p) planes
@@ -262,22 +268,41 @@ def conv2d(x: Tensor, kernel: Tensor, *,
         # go in (i, j) order into zeros, as in a per-tap scatter into
         # (N, H+2p, W+2p, Cin); the padding only adds zeros, and a zero of
         # either sign added to a sum that started at +0.0 leaves its bits
-        # unchanged. That argument covers the scatter only: dcols comes from
-        # kmat @ gpad.T rather than g @ kmat.T, and BLAS need not round the
-        # two orders alike. They agree on the shapes checked in CHANGES.md
-        # (16x16 images among them); other shapes can differ in the last bit.
+        # unchanged.
+        #
+        # dcols for all N images is (H+2p)(W+2p)/(HW) times the size of
+        # cols, so the dcols GEMM and its scatter run over that many blocks
+        # of images (rounded up; 2 at 16x16), each of which fits in the
+        # space cols freed. A tap's run leaves its image only through the
+        # zero rows of the padding, so a block needs nothing from the
+        # others. The bit argument covers the scatter only: each block's
+        # dcols comes from kmat @ gpad.T rather than g @ kmat.T, and BLAS
+        # need not round the two orders, or GEMMs of other widths, alike.
+        # test_conv2d_bit_identical_to_reference (against g @ kmat.T) and
+        # test_fused_conv2d_matches_unfused_graph in tests/test_tensor.py
+        # check the bits at the model's conv2 shape at batch 32, at batch
+        # 33 (blocks of 17 and 16 images) and at batch 1; other shapes can
+        # differ in the last bit.
         hp, wp = h + 2 * p, w + 2 * p
-        gpad = np.zeros((n, hp, wp, cout))
-        gpad[:, :h, :w, :] = g
-        dcols = (kmat @ gpad.reshape(-1, cout).T).reshape(k, k, -1)
-        size = dcols.shape[2]
-        dpad = np.zeros(size)
-        for i in range(k):
-            for j in range(k):
-                shift = i * wp + j
-                dpad[shift:] += dcols[i, j, :size - shift]
-        dpad = dpad.reshape(cin, n, hp, wp)
-        x._accumulate(dpad[:, :, p:p + h, p:p + w].transpose(1, 2, 3, 0))
+        blocks = -(-(hp * wp) // (h * w))
+        step = -(-n // blocks)
+        dx = np.empty_like(x.values)
+        for lo in range(0, n, step):
+            gblock = g[lo:lo + step]
+            gpad = np.zeros((len(gblock), hp, wp, cout))
+            gpad[:, :h, :w, :] = gblock
+            dcols = (kmat @ gpad.reshape(-1, cout).T).reshape(k, k, -1)
+            del gpad
+            size = dcols.shape[2]
+            dpad = np.zeros(size)
+            for i in range(k):
+                for j in range(k):
+                    shift = i * wp + j
+                    dpad[shift:] += dcols[i, j, :size - shift]
+            del dcols
+            dpad = dpad.reshape(cin, -1, hp, wp)[:, :, p:p + h, p:p + w]
+            dx[lo:lo + step] = dpad.transpose(1, 2, 3, 0)
+        x._accumulate(dx)
 
     # The node's finite check sees the pre-activation, so a -inf that the
     # ReLU would clamp to 0 still raises; out.values is out_vals itself.
@@ -330,8 +355,22 @@ def softmax(logits: Tensor) -> Tensor:
     return Tensor(probs, (logits,), backward)
 
 
+_SPENT = "graph was already backpropagated"
+
+
+def _spent(g: np.ndarray) -> None:
+    """Closure of a node whose gradient has gone to its parents."""
+    raise ValueError(_SPENT)
+
+
 def backward(root: Tensor) -> None:
-    """Populate .grad of every node reachable from a scalar root."""
+    """Backpropagate from a scalar root into the .grad of every leaf.
+
+    Each interior node's gradient goes to its closure and the node keeps
+    neither, so both are freed once the closure has run; only leaves keep
+    .grad. A graph can therefore be backpropagated once: a second pass over
+    any of its interior nodes raises ValueError before any gradient moves.
+    """
     if root.values.size != 1:
         raise ValueError("backward root must be scalar")
 
@@ -345,6 +384,8 @@ def backward(root: Tensor) -> None:
             continue
         if node in visited:
             continue
+        if node._backward is _spent:
+            raise ValueError(_SPENT)
         visited.add(node)
         stack.append((node, True))
         for parent in node._parents:
@@ -354,7 +395,9 @@ def backward(root: Tensor) -> None:
     root.grad = np.ones_like(root.values)
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+            run, node._backward = node._backward, _spent
+            g, node.grad = node.grad, None
+            run(g)
 
 
 def sgd_step(params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray],

@@ -324,3 +324,28 @@ def test_per_pass_backward_matches_one_graph(student, fe, fc, compare_space,
     T.backward(total)       # total has no parents: this adds nothing
     assert_reference_grads()
     assert bd.total == ref_total == float(total.values)
+
+
+@pytest.mark.parametrize("fe, fc, passes", [
+    (0.0, 0.0, ["student", "student"]),                             # D-SMILE
+    (0.01, 0.0, ["student", "teacher", "student"]),                 # M-FE
+    (0.0, 0.1, ["student", "student", "teacher", "student"]),       # M-FC
+    (0.01, 0.1, ["student", "teacher", "student", "teacher", "student"]),
+])
+def test_teacher_calls_precede_their_student_pass(student, monkeypatch, fe,
+                                                  fc, passes):
+    """One teacher call per weighted distillation term, each made before
+    the forward of the student pass it serves, so that its im2col matrices
+    are gone before that pass's graph is built."""
+    calls = []
+    for name, kind in (("feature_extract", "teacher"),
+                       ("feature_extract_t", "student")):
+        def record(*args, _run=getattr(model, name), _kind=kind):
+            calls.append(_kind)
+            return _run(*args)
+        monkeypatch.setattr(model, name, record)
+    teacher = model.init_weights(ARCH, seed=2)
+    losses.total_objective(model.as_tensors(student), teacher, X, Y, X_SRC, 5,
+                           0.3, PAIR, PAIR, losses.LossWeights(fe=fe, fc=fc),
+                           True)
+    assert calls == passes

@@ -86,6 +86,26 @@ def test_backward_mean_relu():
     assert np.array_equal(x.grad, [0.0, 0.5])
 
 
+def test_backward_runs_a_graph_once():
+    rng = np.random.default_rng(16)
+    leaves = (T.Tensor(rng.normal(size=(2, 5, 5, 3))),
+              T.Tensor(rng.normal(size=(3, 3, 3, 4))),
+              T.Tensor(rng.normal(size=4)))
+    x, kernel, bias = leaves
+    loss = T.sum_of_squares(T.conv2d(x, kernel, bias_relu=bias))
+    T.backward(loss)
+    grads = [t.grad.copy() for t in leaves]
+    assert loss.grad is None            # only leaves keep .grad
+    # conv2d freed its im2col matrix: a second pass is refused up front
+    for root in (loss, T.add(T.sum_of_squares(x), loss)):
+        with pytest.raises(ValueError, match="already backpropagated"):
+            T.backward(root)
+    # a parentless root, as total_objective returns, adds nothing
+    T.backward(T.Tensor(loss.values))
+    for t, g in zip(leaves, grads):
+        assert np.array_equal(t.grad, g)
+
+
 def test_backward_requires_scalar_root():
     with pytest.raises(ValueError):
         T.backward(T.Tensor([1.0, 2.0]))
@@ -160,6 +180,9 @@ def _reference_conv2d(x, kernel, g):
     ((3, 5, 5, 3), 3, 4),
     ((2, 7, 7, 2), 5, 3),
     ((4, 6, 6, 1), 3, 8),
+    ((32, 16, 16, 8), 3, 16),   # the model's second layer: 2 image blocks
+    ((33, 16, 16, 8), 3, 16),   # blocks of 17 and 16 images
+    ((1, 16, 16, 8), 3, 16),    # one block
 ])
 def test_conv2d_bit_identical_to_reference(x_shape, k, cout):
     rng = np.random.default_rng(11)
@@ -236,6 +259,9 @@ def _conv_layer(x_vals, k_vals, b_vals, weights, make_input, fused):
     ((2, 7, 7, 2), 5, 3, T.Tensor),
     ((1, 4, 6, 2), 1, 5, T.Tensor),
     ((4, 16, 16, 1), 3, 8, T.constant),     # the model's first layer
+    ((32, 16, 16, 8), 3, 16, T.Tensor),     # its second: 2 image blocks
+    ((33, 16, 16, 8), 3, 16, T.Tensor),     # blocks of 17 and 16 images
+    ((1, 16, 16, 8), 3, 16, T.Tensor),      # one block
 ])
 def test_fused_conv2d_matches_unfused_graph(x_shape, k, cout, make_input):
     rng = np.random.default_rng(13)
