@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -23,12 +22,9 @@ from .data import atomic_write
 TRAJECTORY_COEFFICIENTS = (0.6, 0.7, 0.8, 0.9, 1.0)
 
 
-class DegeneratePair(ValueError):
-    """Anchor outputs are (numerically) identical; the ratio is undefined."""
-
-
-class AllDrawsDegenerate(RuntimeError):
-    pass
+class AllDrawsDegenerate(ValueError):
+    """Every sampled draw had anchor outputs closer than ``denom_epsilon``,
+    so no distance ratio is defined."""
 
 
 @dataclass
@@ -58,23 +54,6 @@ class ILReport:
     n_effective: int
     n_degenerate: int
     config: ILConfig
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-
-def normalized_interp_distance(y_it: np.ndarray, y1: np.ndarray,
-                               y2: np.ndarray, lam: float,
-                               epsilon: float = 1e-8) -> float:
-    """Euclidean ||y_it - (lam*y1 + (1-lam)*y2)|| / ||y1 - y2||."""
-    y_it, y1, y2 = (np.asarray(a, dtype=np.float64) for a in (y_it, y1, y2))
-    if not (y_it.shape == y1.shape == y2.shape):
-        raise ValueError("shape mismatch")
-    denom = float(np.linalg.norm(y1 - y2))
-    if denom < epsilon:
-        raise DegeneratePair("anchor outputs too close")
-    numer = float(np.linalg.norm(y_it - (lam * y1 + (1.0 - lam) * y2)))
-    return numer / denom
 
 
 def _mix_rows(x_a: np.ndarray, x_b: np.ndarray, coefs) -> np.ndarray:
@@ -119,7 +98,8 @@ def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
             outs = np.asarray(model_fn(_mix_rows(x_a, x_b, coefs)),
                               dtype=np.float64)
             y1, y2 = outs[0], outs[1]
-            # normalized_interp_distance, with the anchor distance once
+            # ||y_it - (lam*y1 + (1-lam)*y2)|| / ||y1 - y2||; anchors closer
+            # than denom_epsilon make every lambda of the draw degenerate
             denom = float(np.linalg.norm(y1 - y2))
             if denom < config.denom_epsilon:
                 n_degenerate += len(lams)

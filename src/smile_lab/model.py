@@ -76,12 +76,6 @@ class ModelWeights:
         return ModelWeights(self.arch,
                             {k: v.copy() for k, v in self.params.items()})
 
-    def equal(self, other: "ModelWeights") -> bool:
-        return (self.arch == other.arch
-                and set(self.params) == set(other.params)
-                and all(np.array_equal(self.params[k], other.params[k])
-                        for k in self.params))
-
     @property
     def has_target_head(self) -> bool:
         return "tgt_w" in self.params
@@ -125,25 +119,13 @@ def as_tensors(weights: ModelWeights) -> Dict[str, T.Tensor]:
     return {k: T.Tensor(v) for k, v in weights.params.items()}
 
 
-def _global_mean_pool(x: T.Tensor) -> T.Tensor:
-    # (N, H, W, C) -> (N, C), spatial mean
-    n, h, w, c = x.values.shape
-    vals = x.values.mean(axis=(1, 2))
-
-    def backward(g):
-        x._accumulate(np.broadcast_to(
-            g[:, None, None, :] / (h * w), x.values.shape))
-
-    return T.Tensor(vals, (x,), backward)
-
-
 def feature_extract_t(x: np.ndarray, wt: Dict[str, T.Tensor]) -> T.Tensor:
     """conv-relu-conv-relu-pool-dense-relu on a batch (N, H, W, C)."""
     if x.ndim != 4:
         raise ValueError("expected a batch of shape (N, H, W, C)")
     h = T.conv2d(T.constant(x), wt["conv1_k"], bias_relu=wt["conv1_b"])
     h = T.conv2d(h, wt["conv2_k"], bias_relu=wt["conv2_b"])
-    pooled = _global_mean_pool(h)
+    pooled = T.global_mean_pool(h)
     return T.relu(T.add(T.matmul(pooled, wt["proj_w"]), wt["proj_b"]))
 
 

@@ -196,6 +196,18 @@ def sum_of_squares(a: Tensor) -> Tensor:
     return Tensor(out_vals, (a,), backward)
 
 
+def global_mean_pool(x: Tensor) -> Tensor:
+    """(N, H, W, C) -> (N, C): the mean over each image's H x W positions."""
+    n, h, w, c = x.values.shape
+    vals = x.values.mean(axis=(1, 2))
+
+    def backward(g):
+        x._accumulate(np.broadcast_to(
+            g[:, None, None, :] / (h * w), x.values.shape))
+
+    return Tensor(vals, (x,), backward)
+
+
 def im2col(x: np.ndarray, k: int) -> np.ndarray:
     """(N, H, W, Cin) -> (N*H*W, k*k*Cin) patch matrix for a 'same' k x k
     convolution, columns ordered (row tap, column tap, channel).

@@ -34,6 +34,8 @@ class TrainingDiverged(RuntimeError):
 
 
 def _check_step_settings(config) -> None:
+    if config.iterations <= 0:
+        raise ValueError("iterations must be > 0")
     if not config.lr > 0:
         raise ValueError("lr must be > 0")
     if config.batch_size < 1:
@@ -73,8 +75,8 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_step_settings(self)
-        if self.iterations <= 0:
-            raise ValueError("iterations must be > 0")
+        if not (self.gamma_fe >= 0 and self.gamma_fc >= 0):
+            raise ValueError("gamma_fe and gamma_fc must be >= 0")
         if self.teacher_period < 1:
             raise ValueError("teacher period must be >= 1")
         if self.mode not in MODES:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from smile_lab import cli, data, interpolation, model, train
@@ -349,7 +350,7 @@ def test_diagnose_matches_independent_estimates(workdir, tmp_path, checkpoint):
                       ("feature", lambda x: model.feature_extract(x, weights))):
         expected = interpolation.estimate_IL(
             fn, target_test, dataclasses.replace(diagnostics, layer=layer))
-        assert report[layer] == json.loads(expected.to_json())
+        assert report[layer] == dataclasses.asdict(expected)
 
 
 @pytest.fixture(scope="module")
@@ -369,9 +370,10 @@ def _snapshot(root):
 
 
 # Each row: what to prepare under the run's root ("data" copies the
-# generated datasets, "dir" makes a directory, bytes make a file; exp.yaml
-# holds FAST_YAML unless a row prepares it), the argv after "-c exp.yaml"
-# with the output directory as {out}, and the error the one line names.
+# generated datasets, "dir" makes a directory, bytes make a file and a
+# Dataset is written with data.save; exp.yaml holds FAST_YAML unless a row
+# prepares it), the argv after "-c exp.yaml" with the output directory as
+# {out}, and the error the one line names.
 @pytest.mark.parametrize("prepare, argv, error", [
     pytest.param({"out": b"a file"}, ["gen-data"], "FileExistsError",
                  id="output-dir-is-a-file"),
@@ -397,6 +399,14 @@ def _snapshot(root):
                  id="malformed-dataset"),
     pytest.param({"out": "data"}, ["pretrain", "pretrain.lr=1000000000.0"],
                  "TrainingDiverged", id="pretraining-diverges"),
+    pytest.param({"out": "data", "out/target_test.bin": data.Dataset(
+                      np.zeros((2, 16, 16, 1)), np.zeros(2), 5, "target")},
+                 ["diagnose", "--affine-stub"], "AllDrawsDegenerate",
+                 id="every-IL-draw-degenerate"),
+    pytest.param({"out": "data"}, ["pretrain", "pretrain.iterations=0"],
+                 "ConfigError", id="pretrain-without-iterations"),
+    pytest.param({}, ["gen-data", "train.gamma_fe=-1.0"], "ConfigError",
+                 id="negative-loss-weight"),
 ])
 def test_cli_errors_are_one_json_line(generated, tmp_path, monkeypatch, capsys,
                                       prepare, argv, error):
@@ -409,6 +419,8 @@ def test_cli_errors_are_one_json_line(generated, tmp_path, monkeypatch, capsys,
             shutil.copytree(generated, path)
         elif what == "dir":
             path.mkdir()
+        elif isinstance(what, data.Dataset):
+            data.save(what, path)
         else:
             path.write_bytes(what)
     out = tmp_path / "out"

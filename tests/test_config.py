@@ -188,7 +188,7 @@ def test_whole_section_override_rejected(override):
 
 @pytest.mark.parametrize("override, value", [
     ("train.lr=1e-3", 1e-3), ("train.lr=1.0e6", 1e6), ("train.lr=2E+2", 200.0),
-    ("train.gamma_fe=-.5e-1", -0.05), ("train.lr=3", 3.0),
+    ("task.contrast_shift=-.5e-1", -0.05), ("train.lr=3", 3.0),
     ("subsample_rate=5e-1", 0.5)])
 def test_float_numerals_in_overrides(override, value):
     cfg = load_config(None, [override])

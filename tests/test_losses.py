@@ -180,7 +180,7 @@ def test_triplet_loss_requires_source_batch(student):
                                losses.LossWeights(fe=0.0, fc=0.1), True)
 
 
-def test_teacher_receives_no_gradient(student):
+def test_teacher_receives_no_gradient(student, weights_equal):
     teacher = model.init_weights(ARCH, seed=2)
     before = teacher.copy()
     wt = model.as_tensors(student)
@@ -188,7 +188,7 @@ def test_teacher_receives_no_gradient(student):
                                       PAIR, losses.LossWeights(), True)
     T.backward(total)
     assert wt["conv1_k"].grad is not None
-    assert teacher.equal(before)
+    assert weights_equal(teacher, before)
 
 
 def test_total_objective_breakdown(student):

@@ -26,11 +26,12 @@ def test_init_shapes(weights):
     assert weights.has_target_head
 
 
-def test_init_deterministic():
+def test_init_deterministic(weights_equal):
     a = model.init_weights(ARCH, seed=3, with_target_head=True)
     b = model.init_weights(ARCH, seed=3, with_target_head=True)
-    assert a.equal(b)
-    assert not a.equal(model.init_weights(ARCH, seed=4, with_target_head=True))
+    assert weights_equal(a, b)
+    assert not weights_equal(
+        a, model.init_weights(ARCH, seed=4, with_target_head=True))
 
 
 def test_zero_input_zero_features(weights):
@@ -78,11 +79,11 @@ def test_heads_are_affine_in_features(weights):
     assert np.allclose(mixed_logits, 0.3 * za + 0.7 * zb, atol=1e-12)
 
 
-def test_snapshot_is_independent(weights):
+def test_snapshot_is_independent(weights, weights_equal):
     snap = weights.copy()
-    assert snap.equal(weights)
+    assert weights_equal(snap, weights)
     snap.params["proj_w"][0, 0] += 1.0
-    assert not snap.equal(weights)
+    assert not weights_equal(snap, weights)
 
 
 def test_init_from_pretrained(weights):
@@ -97,20 +98,21 @@ def test_init_from_pretrained(weights):
     assert not np.array_equal(student.params["tgt_w"], s2.params["tgt_w"])
 
 
-def test_checkpoint_round_trip(tmp_path, weights):
+def test_checkpoint_round_trip(tmp_path, weights, weights_equal):
     path = tmp_path / "w.ckpt"
     model.save_checkpoint(weights, path)
     loaded = model.load_checkpoint(path)
-    assert loaded.equal(weights)
+    assert weights_equal(loaded, weights)
     assert loaded.arch == weights.arch
 
 
-def test_checkpoint_without_target_head(tmp_path, weights):
+def test_checkpoint_without_target_head(tmp_path, weights,
+                                        weights_equal):
     _, teacher = model.init_from_pretrained(weights, seed=0)
     path = tmp_path / "t.ckpt"
     model.save_checkpoint(teacher, path)
     loaded = model.load_checkpoint(path)
-    assert loaded.equal(teacher)
+    assert weights_equal(loaded, teacher)
     assert not loaded.has_target_head
 
 

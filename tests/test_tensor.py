@@ -132,6 +132,7 @@ def test_matmul_chain_matches_finite_differences():
     (lambda x: T.softmax_cross_entropy(
         x, T.constant(np.full((2, 3), 1.0 / 3))), (2, 3)),
     (lambda x: T.sum_of_squares(T.softmax(x)), (2, 4)),
+    (lambda x: T.sum_of_squares(T.global_mean_pool(x)), (2, 3, 4, 2)),
 ])
 def test_primitive_gradients_random_points(builder, shape):
     rng = np.random.default_rng(42)

@@ -107,13 +107,13 @@ def test_ema_teacher_decay_zero_tracks_student(pretrained):
         assert np.array_equal(teacher.params[name], student.params[name])
 
 
-def test_fixed_teacher_never_changes(pretrained):
+def test_fixed_teacher_never_changes(pretrained, weights_equal):
     student, teacher = model.init_from_pretrained(pretrained, seed=0)
     before = teacher.copy()
     cfg = train.TrainConfig(iterations=10)
     student.params["proj_w"] = student.params["proj_w"] + 1.0
     teacher = train.update_teacher(teacher, student, 10, cfg, "fixed")
-    assert teacher.equal(before)
+    assert weights_equal(teacher, before)
 
 
 def test_latest_teacher_always_current(pretrained):
@@ -287,7 +287,8 @@ def _pretrain_source_reference(dataset, config):
 
 
 @pytest.mark.parametrize("use_mixup", [True, False])
-def test_pretrain_matches_inline_loss_reference(monkeypatch, use_mixup):
+def test_pretrain_matches_inline_loss_reference(monkeypatch, use_mixup,
+                                                weights_equal):
     src = data.generate_source(data.TaskSpec(samples_per_class=2, seed=0))
     cfg = train.PretrainConfig(iterations=4, batch_size=8,
                                use_mixup=use_mixup)
@@ -307,7 +308,7 @@ def test_pretrain_matches_inline_loss_reference(monkeypatch, use_mixup):
         assert grads.keys() == ref.keys()
         for name in ref:
             assert np.array_equal(grads[name], ref[name]), name
-    assert weights.equal(ref_weights)
+    assert weights_equal(weights, ref_weights)
 
 
 def _traced_peak(pretrained, datasets, mode, iterations):
