@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -74,13 +75,26 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> None:
 
 def _training_inputs(out: Path):
     """The pretrained model and the target train, source train and target
-    test sets."""
+    test sets; a model pretrained on other images or source classes than
+    the datasets hold is a CheckpointError."""
     paths = _dataset_paths(out)
-    pretrained = model.load_checkpoint(_require(out / "pretrained.ckpt",
-                                                "pretrain"))
-    return (pretrained, *(data.load(_require(paths[name], "gen-data"))
-                          for name in ("target_train", "source_train",
-                                       "target_test")))
+    ckpt = _require(out / "pretrained.ckpt", "pretrain")
+    pretrained = model.load_checkpoint(ckpt)
+    datasets = {name: data.load(_require(paths[name], "gen-data"))
+                for name in ("target_train", "source_train", "target_test")}
+    arch = pretrained.arch
+    image = (arch.image_size, arch.image_size, arch.channels)
+    for name, dataset in datasets.items():
+        if len(dataset) and dataset.inputs.shape[1:] != image:
+            raise model.CheckpointError(
+                f"{ckpt} takes images of shape {image}, {name} holds "
+                f"{dataset.inputs.shape[1:]}; run `pretrain` again")
+    if datasets["source_train"].n_classes != arch.n_source_classes:
+        raise model.CheckpointError(
+            f"{ckpt} has {arch.n_source_classes} source classes, "
+            f"source_train {datasets['source_train'].n_classes}; "
+            f"run `pretrain` again")
+    return (pretrained, *datasets.values())
 
 
 def cmd_train(cfg: ExperimentConfig, args) -> None:
@@ -111,18 +125,12 @@ def cmd_ablate(cfg: ExperimentConfig, args) -> None:
         print(f"{mode}: {100 * m:.2f} +/- {100 * s:.2f} %")
 
 
-def _affine_stub_fn(out_dim: int = 8, seed: int = 0):
-    state = {}  # weights built lazily once the input dimension is known
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        flat = x.reshape(len(x), -1)
-        if "w" not in state:
-            r = np.random.default_rng(seed)
-            state["w"] = r.normal(size=(flat.shape[1], out_dim))
-            state["b"] = r.normal(size=out_dim)
-        return flat @ state["w"] + state["b"]
-
-    return fn
+def _affine_stub_fn(n_inputs: int, seed: int):
+    """x -> flat(x) @ w + b, with w (n_inputs, 8) and b (8,) drawn from seed."""
+    r = np.random.default_rng(seed)
+    w = r.normal(size=(n_inputs, 8))
+    b = r.normal(size=8)
+    return lambda x: x.reshape(len(x), -1) @ w + b
 
 
 def cmd_diagnose(cfg: ExperimentConfig, args) -> None:
@@ -130,7 +138,8 @@ def cmd_diagnose(cfg: ExperimentConfig, args) -> None:
     paths = _dataset_paths(out)
     target_test = data.load(_require(paths["target_test"], "gen-data"))
     if args.affine_stub:
-        label_fn = feature_fn = _affine_stub_fn(seed=cfg.seed)
+        label_fn = feature_fn = _affine_stub_fn(
+            math.prod(target_test.inputs.shape[1:]), cfg.seed)
         source_name = "affine-stub"
     else:
         ckpt = Path(args.checkpoint) if args.checkpoint \
@@ -173,18 +182,24 @@ def cmd_report(cfg: ExperimentConfig, args) -> None:
     il_path = out / "il_report.json"
     if il_path.exists():
         payload = json.loads(il_path.read_text())
-        lines.append(f"\ninterpolation loss ({payload['model']}):")
-        for layer in ("label", "feature"):
-            r = payload[layer]
-            lines.append(f"  {layer}: {r['mean']:.4f} +/- {r['std']:.4f} "
-                         f"(n={r['n_effective']}, "
-                         f"degenerate={r['n_degenerate']})")
+        try:
+            lines.append(f"\ninterpolation loss ({payload['model']}):")
+            for layer in ("label", "feature"):
+                r = payload[layer]
+                lines.append(f"  {layer}: {r['mean']:.4f} +/- {r['std']:.4f} "
+                             f"(n={r['n_effective']}, "
+                             f"degenerate={r['n_degenerate']})")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{il_path} is not an IL report: {exc!r}") from exc
     metrics_files = sorted(out.glob("metrics_*.csv"))
     if metrics_files:
         lines.append("\nfinal loss rows:")
         for path in metrics_files:
-            last = path.read_text().strip().splitlines()[-1]
-            lines.append(f"  {path.name}: {last}")
+            rows = path.read_text().strip().splitlines()
+            if len(rows) < 2:
+                raise ValueError(f"{path} holds no loss rows")
+            lines.append(f"  {path.name}: {rows[-1]}")
     if len(lines) == 2:
         raise FileNotFoundError(
             "no artifacts to report; run the pipeline first")

@@ -143,4 +143,12 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"unknown ablation mode {mode!r}")
     for seed in cfg.ablation_seeds:
         _coerce(seed, int, "ablation_seeds")
+    if not cfg.ablation_modes:
+        raise ConfigError("ablation_modes must name at least one mode")
+    # a repeated mode trains its cells twice and a repeated seed reruns a
+    # cell bit for bit; either would count one run as two samples
+    for name in ("ablation_modes", "ablation_seeds"):
+        values = getattr(cfg, name)
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{name} repeats a value: {values}")
     return cfg

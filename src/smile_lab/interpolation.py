@@ -176,20 +176,18 @@ class TrajectoryPoint:
 
 def feature_interp_trajectory(
         feature_fn: Callable[[np.ndarray], np.ndarray],
-        image_pairs: Sequence[tuple],
-        coefficients: Sequence[float] = TRAJECTORY_COEFFICIENTS):
+        image_pairs: Sequence[tuple]):
     """Feature-space trajectories of mixed inputs, PCA-projected to 2-D.
 
     Returns (rows, explained variance fractions); one row per
-    (pair, coefficient)."""
+    (pair, coefficient of TRAJECTORY_COEFFICIENTS)."""
     if len(image_pairs) < 1:
         raise ValueError("need at least one image pair")
-    if not all(0.0 <= c <= 1.0 for c in coefficients):
-        raise ValueError(f"coefficients out of [0, 1]: {coefficients}")
-    batch = np.concatenate([_mix_rows(a, b, coefficients)
+    batch = np.concatenate([_mix_rows(a, b, TRAJECTORY_COEFFICIENTS)
                             for a, b in image_pairs])
     projected, explained = pca_2d(feature_fn(batch))
-    points = itertools.product(range(len(image_pairs)), coefficients)
+    points = itertools.product(range(len(image_pairs)),
+                               TRAJECTORY_COEFFICIENTS)
     rows = [TrajectoryPoint(pair_id, float(lam), float(x), float(y))
             for (pair_id, lam), (x, y) in zip(points, projected, strict=True)]
     return rows, explained

@@ -78,10 +78,8 @@ def mixed_ce(logits: T.Tensor, y_i: np.ndarray, y_j: np.ndarray,
 def mixup_loss(x: np.ndarray, y: np.ndarray, student_t: Dict[str, T.Tensor],
                n_classes: int, lam: float, pairing: np.ndarray) -> T.Tensor:
     """Sample-to-label mixup: lam-weighted cross-entropy on mixed inputs."""
-    x_mixed = mix(x, x[pairing], lam)
-    logits = model.head_logits_t(model.feature_extract_t(x_mixed, student_t),
-                                 student_t, "tgt")
-    return mixed_ce(logits, y, y[pairing], n_classes, lam)
+    return _mixed_target_loss(student_t, None, x, y, n_classes, lam, pairing,
+                              0.0, LossBreakdown())
 
 
 def source_label_mixup_loss(x_src: np.ndarray, student_t: Dict[str, T.Tensor],

@@ -290,14 +290,18 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
     if needs_source and (source_train is None or len(source_train) == 0):
         raise ValueError("source dataset required for the source-domain term")
 
-    student, teacher = model.init_from_pretrained(pretrained, config.seed)
+    # the target head fits the target task, not the pretrained model's
+    # placeholder class count
+    n_tgt_classes = target_train.n_classes
+    student, teacher = model.init_from_pretrained(model.ModelWeights(
+        replace(pretrained.arch, n_target_classes=n_tgt_classes),
+        pretrained.params), config.seed)
     if teacher_kind is None:
         teacher = None
 
     rng = np.random.default_rng(config.seed)
     state: Dict[str, np.ndarray] = {}
     metrics = Metrics()
-    n_tgt_classes = student.arch.n_target_classes
 
     for k in range(1, config.iterations + 1):
         teacher = update_teacher(teacher, student, k, config, teacher_kind)

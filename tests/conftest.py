@@ -13,3 +13,17 @@ def _weights_equal(a, b) -> bool:
 def weights_equal():
     """The equality test for two ``model.ModelWeights``."""
     return _weights_equal
+
+
+def _datasets_equal(a, b) -> bool:
+    """Same domain and class count, and bit-equal inputs and labels."""
+    return (a.domain == b.domain and a.n_classes == b.n_classes
+            and a.inputs.shape == b.inputs.shape
+            and np.array_equal(a.inputs, b.inputs)
+            and np.array_equal(a.labels, b.labels))
+
+
+@pytest.fixture
+def datasets_equal():
+    """The equality test for two ``data.Dataset``s."""
+    return _datasets_equal

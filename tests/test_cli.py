@@ -135,6 +135,19 @@ def test_train_smile_uses_source(workdir):
     assert ckpt.has_target_head
 
 
+@pytest.mark.parametrize("n_classes", [3, 8])
+def test_train_sizes_the_target_head_by_the_target_task(workdir, n_classes):
+    out, run = workdir
+    run("gen-data", f"task.n_target_classes={n_classes}")
+    run("pretrain")
+    code, _, stderr = run("train", "train.mode=SMILE")
+    assert code == 0, stderr
+    student = model.load_checkpoint(out / "student_SMILE.ckpt")
+    assert student.arch.n_target_classes == n_classes
+    assert student.params["tgt_w"].shape == (32, n_classes)
+    assert student.params["tgt_b"].shape == (n_classes,)
+
+
 def test_ablate_summary(workdir):
     out, run = workdir
     run("gen-data")
@@ -370,10 +383,11 @@ def _snapshot(root):
 
 
 # Each row: what to prepare under the run's root ("data" copies the
-# generated datasets, "dir" makes a directory, bytes make a file and a
-# Dataset is written with data.save; exp.yaml holds FAST_YAML unless a row
-# prepares it), the argv after "-c exp.yaml" with the output directory as
-# {out}, and the error the one line names.
+# generated datasets, "dir" makes a directory, bytes make a file, a Dataset
+# is written with data.save and ModelWeights with model.save_checkpoint;
+# exp.yaml holds FAST_YAML unless a row prepares it), the argv after
+# "-c exp.yaml" with the output directory as {out}, and the error the one
+# line names.
 @pytest.mark.parametrize("prepare, argv, error", [
     pytest.param({"out": b"a file"}, ["gen-data"], "FileExistsError",
                  id="output-dir-is-a-file"),
@@ -407,6 +421,20 @@ def _snapshot(root):
                  "ConfigError", id="pretrain-without-iterations"),
     pytest.param({}, ["gen-data", "train.gamma_fe=-1.0"], "ConfigError",
                  id="negative-loss-weight"),
+    pytest.param({"out": "data", "out/il_report.json": b"{}"}, ["report"],
+                 "ValueError", id="report-reads-an-empty-IL-report"),
+    pytest.param({"out": "data", "out/il_report.json": b"[1, 2]"},
+                 ["report"], "ValueError", id="report-reads-an-IL-report-list"),
+    pytest.param({"out": "data", "out/metrics_FT.csv": b""}, ["report"],
+                 "ValueError", id="report-reads-empty-metrics"),
+    pytest.param({"out": "data", "out/pretrained.ckpt": model.init_weights(
+                      model.Architecture(image_size=4), 0)},
+                 ["train"], "CheckpointError",
+                 id="train-on-other-images-than-pretrained"),
+    pytest.param({"out": "data", "out/pretrained.ckpt": model.init_weights(
+                      model.Architecture(n_source_classes=10), 0)},
+                 ["ablate"], "CheckpointError",
+                 id="ablate-on-other-source-classes-than-pretrained"),
 ])
 def test_cli_errors_are_one_json_line(generated, tmp_path, monkeypatch, capsys,
                                       prepare, argv, error):
@@ -421,6 +449,8 @@ def test_cli_errors_are_one_json_line(generated, tmp_path, monkeypatch, capsys,
             path.mkdir()
         elif isinstance(what, data.Dataset):
             data.save(what, path)
+        elif isinstance(what, model.ModelWeights):
+            model.save_checkpoint(what, path)
         else:
             path.write_bytes(what)
     out = tmp_path / "out"

@@ -172,7 +172,10 @@ def test_field_values_validated(section, key, value):
     ("ablation_seeds", [0, "x"], "ablation_seeds=[0, x]"),
     ("ablation_seeds", [0, True], "ablation_seeds=[0, true]"),
     ("ablation_seeds", 3, "ablation_seeds=3"),
-    ("ablation_modes", "FT", "ablation_modes=FT")])
+    ("ablation_modes", "FT", "ablation_modes=FT"),
+    ("ablation_modes", [], "ablation_modes=[]"),
+    ("ablation_modes", ["FT", "FT"], "ablation_modes=[FT, FT]"),
+    ("ablation_seeds", [0, 0], "ablation_seeds=[0, 0]")])
 def test_top_level_types_validated(key, value, override):
     with pytest.raises(ConfigError):
         build_config({key: value})

@@ -222,13 +222,6 @@ def test_trajectory_requires_pairs():
         interp.feature_interp_trajectory(_affine_fn(), [])
 
 
-def test_trajectory_rejects_coefficients_outside_unit_interval(dataset):
-    pairs = [(dataset.inputs[0], dataset.inputs[1])]
-    for coefs in ((0.5, 1.5), (-0.1, 0.5)):
-        with pytest.raises(ValueError):
-            interp.feature_interp_trajectory(_affine_fn(), pairs, coefs)
-
-
 def test_trajectory_csv(tmp_path, dataset):
     pairs = [(dataset.inputs[0], dataset.inputs[1])]
     rows, _ = interp.feature_interp_trajectory(_affine_fn(), pairs)
