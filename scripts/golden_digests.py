@@ -57,8 +57,6 @@ ablation_seeds: [0, 1]
 output_dir: out
 """
 
-DATASETS = ("source_train", "target_train_full", "target_train", "target_test")
-
 # SMILE runs off the default branches; their artifacts are renamed to
 # student_<name>.ckpt and metrics_<name>.csv
 VARIANTS = {
@@ -125,7 +123,7 @@ def artifact_digests() -> dict:
                          out / "ablation_summary.csv"]
             artifacts += out.glob("student_*.ckpt")
             artifacts += out.glob("metrics_*.csv")
-            artifacts += [out / f"{name}.csv" for name in DATASETS]
+            artifacts += [out / f"{name}.csv" for name in cli.DATASETS]
             return dict(sorted((p.name, sha256(p)) for p in artifacts))
     finally:
         os.chdir(cwd)

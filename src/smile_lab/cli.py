@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, interpolation, model, train
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config
 from .data import atomic_write
 
 ENV_OUTPUT_DIR = "SMILE_LAB_OUTPUT_DIR"
@@ -24,13 +24,8 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return Path(os.environ.get(ENV_OUTPUT_DIR, cfg.output_dir))
 
 
-def _dataset_paths(out: Path) -> dict:
-    return {
-        "source_train": out / "source_train.bin",
-        "target_train_full": out / "target_train_full.bin",
-        "target_train": out / "target_train.bin",
-        "target_test": out / "target_test.bin",
-    }
+DATASETS = ("source_train", "target_train_full", "target_train",
+            "target_test")
 
 
 def _require(path: Path, produced_by: str) -> Path:
@@ -40,21 +35,45 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
+def _inputs(out: Path, ckpt: Path | None, *names: str):
+    """(weights, *datasets): the checkpoint at ``ckpt`` (None when ``ckpt``
+    is None) and the named datasets of ``out``. A checkpoint built for other
+    images than a dataset holds, or for other source classes than
+    source_train, is a CheckpointError."""
+    weights = None if ckpt is None else model.load_checkpoint(_require(
+        ckpt, "pretrain" if ckpt == out / "pretrained.ckpt" else "train"))
+    datasets = [data.load(_require(out / f"{name}.bin", "gen-data"))
+                for name in names]
+    if weights is None:
+        return (None, *datasets)
+    arch = weights.arch
+    image = (arch.image_size, arch.image_size, arch.channels)
+    for name, dataset in zip(names, datasets):
+        if len(dataset) and dataset.inputs.shape[1:] != image:
+            raise model.CheckpointError(
+                f"{ckpt} takes images of shape {image}, {name} holds "
+                f"{dataset.inputs.shape[1:]}; run `pretrain` again")
+        if name == "source_train" and \
+                dataset.n_classes != arch.n_source_classes:
+            raise model.CheckpointError(
+                f"{ckpt} has {arch.n_source_classes} source classes, "
+                f"source_train {dataset.n_classes}; run `pretrain` again")
+    return (weights, *datasets)
+
+
 def cmd_gen_data(cfg: ExperimentConfig, args) -> None:
     out = _out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    paths = _dataset_paths(out)
     source = data.generate_source(cfg.task)
     target_full = data.derive_target(cfg.task)
     target_sub = data.stratified_subsample(target_full, cfg.subsample_rate,
                                            cfg.task.seed)
     target_test = data.test_split(cfg.task, "target")
-    datasets = {"source_train": source, "target_train_full": target_full,
-                "target_train": target_sub, "target_test": target_test}
-    for name, dataset in datasets.items():
-        data.save(dataset, paths[name])
+    for name, dataset in zip(DATASETS, (source, target_full, target_sub,
+                                        target_test), strict=True):
+        data.save(dataset, out / f"{name}.bin")
         if args.csv:
-            data.export_csv(dataset, paths[name].with_suffix(".csv"))
+            data.export_csv(dataset, out / f"{name}.csv")
     print(f"wrote {len(source)} source / {len(target_sub)} target train "
           f"(rate {cfg.subsample_rate}) / {len(target_test)} target test "
           f"samples to {out}")
@@ -62,8 +81,7 @@ def cmd_gen_data(cfg: ExperimentConfig, args) -> None:
 
 def cmd_pretrain(cfg: ExperimentConfig, args) -> None:
     out = _out_dir(cfg)
-    source = data.load(_require(_dataset_paths(out)["source_train"],
-                                "gen-data"))
+    _, source = _inputs(out, None, "source_train")
     weights = train.pretrain_source(source, cfg.pretrain)
     with train.diverges_at(cfg.pretrain.iterations, "evaluation"):
         acc = train.accuracy(weights, source)
@@ -73,34 +91,11 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> None:
           f"source train accuracy {acc:.4f}, checkpoint {ckpt}")
 
 
-def _training_inputs(out: Path):
-    """The pretrained model and the target train, source train and target
-    test sets; a model pretrained on other images or source classes than
-    the datasets hold is a CheckpointError."""
-    paths = _dataset_paths(out)
-    ckpt = _require(out / "pretrained.ckpt", "pretrain")
-    pretrained = model.load_checkpoint(ckpt)
-    datasets = {name: data.load(_require(paths[name], "gen-data"))
-                for name in ("target_train", "source_train", "target_test")}
-    arch = pretrained.arch
-    image = (arch.image_size, arch.image_size, arch.channels)
-    for name, dataset in datasets.items():
-        if len(dataset) and dataset.inputs.shape[1:] != image:
-            raise model.CheckpointError(
-                f"{ckpt} takes images of shape {image}, {name} holds "
-                f"{dataset.inputs.shape[1:]}; run `pretrain` again")
-    if datasets["source_train"].n_classes != arch.n_source_classes:
-        raise model.CheckpointError(
-            f"{ckpt} has {arch.n_source_classes} source classes, "
-            f"source_train {datasets['source_train'].n_classes}; "
-            f"run `pretrain` again")
-    return (pretrained, *datasets.values())
-
-
 def cmd_train(cfg: ExperimentConfig, args) -> None:
     out = _out_dir(cfg)
-    pretrained, target_train, source_train, target_test = \
-        _training_inputs(out)
+    pretrained, target_train, source_train, target_test = _inputs(
+        out, out / "pretrained.ckpt", "target_train", "source_train",
+        "target_test")
     student, metrics = train.train(pretrained, target_train, source_train,
                                    cfg.train, target_test)
     acc = train.final_accuracy(student, metrics, target_test, cfg.train)
@@ -115,8 +110,9 @@ def cmd_train(cfg: ExperimentConfig, args) -> None:
 
 def cmd_ablate(cfg: ExperimentConfig, args) -> None:
     out = _out_dir(cfg)
-    pretrained, target_train, source_train, target_test = \
-        _training_inputs(out)
+    pretrained, target_train, source_train, target_test = _inputs(
+        out, out / "pretrained.ckpt", "target_train", "source_train",
+        "target_test")
     rows, summary = train.run_ablation_suite(
         pretrained, target_train, target_test, source_train, cfg.train,
         cfg.ablation_modes, cfg.ablation_seeds)
@@ -135,29 +131,21 @@ def _affine_stub_fn(n_inputs: int, seed: int):
 
 def cmd_diagnose(cfg: ExperimentConfig, args) -> None:
     out = _out_dir(cfg)
-    paths = _dataset_paths(out)
-    target_test = data.load(_require(paths["target_test"], "gen-data"))
-    if args.affine_stub:
+    ckpt = None if args.affine_stub else Path(
+        args.checkpoint or out / f"student_{cfg.train.mode}.ckpt")
+    weights, target_test = _inputs(out, ckpt, "target_test")
+    if weights is None:
         label_fn = feature_fn = _affine_stub_fn(
             math.prod(target_test.inputs.shape[1:]), cfg.seed)
-        source_name = "affine-stub"
     else:
-        ckpt = Path(args.checkpoint) if args.checkpoint \
-            else out / f"student_{cfg.train.mode}.ckpt"
-        weights = model.load_checkpoint(_require(ckpt, "train"))
         # one feature sweep serves both estimates: they draw the same
         # batches, and the feature closure keeps what it extracted
         feature_fn = interpolation.model_output_fn(weights, "feature")
         label_fn = lambda x: model.head_logits(feature_fn(x), weights)
-        source_name = str(ckpt)
     reports = {}
     for layer, fn in (("label", label_fn), ("feature", feature_fn)):
         il_cfg = dataclasses.replace(cfg.diagnostics, layer=layer)
         reports[layer] = interpolation.estimate_IL(fn, target_test, il_cfg)
-    payload = {"model": source_name,
-               **{layer: dataclasses.asdict(r) for layer, r in reports.items()}}
-    with atomic_write(out / "il_report.json") as fh:
-        fh.write(json.dumps(payload, indent=2))
 
     rng = np.random.default_rng(cfg.diagnostics.seed)
     n_pairs = min(4, len(target_test) // 2)
@@ -165,6 +153,10 @@ def cmd_diagnose(cfg: ExperimentConfig, args) -> None:
     pairs = [(target_test.inputs[idx[2 * i]], target_test.inputs[idx[2 * i + 1]])
              for i in range(n_pairs)]
     rows, _ = interpolation.feature_interp_trajectory(feature_fn, pairs)
+    payload = {"model": "affine-stub" if ckpt is None else str(ckpt),
+               **{layer: dataclasses.asdict(r) for layer, r in reports.items()}}
+    with atomic_write(out / "il_report.json") as fh:
+        fh.write(json.dumps(payload, indent=2))
     interpolation.write_trajectory_csv(rows, out / "pca_traj.csv")
     print(f"label IL {reports['label'].mean:.4f}, "
           f"feature IL {reports['feature'].mean:.4f}; "
@@ -246,9 +238,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         _COMMANDS[args.command](cfg, args)
-    except (ConfigError, OSError, ValueError,
-            model.CheckpointError, data.DatasetFormatError,
-            train.TrainingDiverged) as exc:
+    except (OSError, ValueError, train.TrainingDiverged) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               file=sys.stderr)
         return 1

@@ -22,7 +22,8 @@ _DOMAINS = ("source", "target")
 
 
 class DatasetFormatError(ValueError):
-    """Bad magic, version, or truncated dataset file."""
+    """Bad magic, version, or truncated dataset file, or a NaN or Inf
+    pixel."""
 
 
 @contextlib.contextmanager
@@ -222,6 +223,8 @@ def load(path) -> Dataset:
     inputs = np.frombuffer(
         raw, dtype="<f8", count=n * h * w * c, offset=header_size
     ).reshape(n, h, w, c).copy()
+    if not np.isfinite(inputs).all():
+        raise DatasetFormatError("non-finite pixel")
     labels = np.frombuffer(
         raw, dtype="<i8", count=n, offset=header_size + pixel_bytes).copy()
     try:

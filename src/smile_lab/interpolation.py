@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
@@ -25,6 +26,12 @@ TRAJECTORY_COEFFICIENTS = (0.6, 0.7, 0.8, 0.9, 1.0)
 class AllDrawsDegenerate(ValueError):
     """Every sampled draw had anchor outputs closer than ``denom_epsilon``,
     so no distance ratio is defined."""
+
+
+class NonFiniteIL(ValueError):
+    """An anchor-output distance, or the mean or spread of the distance
+    ratios, is NaN or Inf: the model's outputs overflowed or were not
+    finite."""
 
 
 @dataclass
@@ -69,6 +76,7 @@ def _mix_rows(x_a: np.ndarray, x_b: np.ndarray, coefs) -> np.ndarray:
     return batch
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
                 dataset, config: ILConfig,
                 rng: np.random.Generator | None = None) -> ILReport:
@@ -77,6 +85,8 @@ def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
     ``model_fn`` maps a batch of inputs to a batch of output vectors (logits
     or features, per config.layer). ``rng`` may be any object exposing
     ``integers`` and ``uniform`` (a stub enables exhaustive enumeration).
+    numpy's overflow warnings are silenced inside: a non-finite distance
+    ends as one NonFiniteIL instead.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -101,6 +111,8 @@ def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
             # ||y_it - (lam*y1 + (1-lam)*y2)|| / ||y1 - y2||; anchors closer
             # than denom_epsilon make every lambda of the draw degenerate
             denom = float(np.linalg.norm(y1 - y2))
+            if not math.isfinite(denom):
+                raise NonFiniteIL(f"anchor outputs {denom} apart")
             if denom < config.denom_epsilon:
                 n_degenerate += len(lams)
                 continue
@@ -111,8 +123,10 @@ def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
     if not ratios:
         raise AllDrawsDegenerate("every sampled pair had coincident outputs")
     arr = np.array(ratios)
-    return ILReport(float(arr.mean()), float(arr.std()), len(arr),
-                    n_degenerate, config)
+    mean, std = float(arr.mean()), float(arr.std())
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise NonFiniteIL(f"distance ratios of mean {mean} and std {std}")
+    return ILReport(mean, std, len(arr), n_degenerate, config)
 
 
 def model_output_fn(weights: model.ModelWeights, layer: str):
@@ -159,11 +173,8 @@ def pca_2d(points: np.ndarray):
             comps[r] = -comps[r]
     eigvals = s ** 2 / (points.shape[0] - 1)
     total_var = centered.var(axis=0, ddof=1).sum()
-    explained = (eigvals[:2] / total_var if total_var > 0
-                 else np.zeros(min(2, len(eigvals))))
-    if len(explained) < 2:
-        explained = np.pad(explained, (0, 2 - len(explained)))
-    return centered @ comps.T, explained[:2]
+    explained = eigvals[:2] / total_var if total_var > 0 else np.zeros(2)
+    return centered @ comps.T, explained
 
 
 @dataclass

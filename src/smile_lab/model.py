@@ -23,7 +23,8 @@ _CKPT_VERSION = 1
 
 class CheckpointError(ValueError):
     """A malformed checkpoint: bad magic or version, a truncated or
-    oversized file, or parameters that do not match its architecture."""
+    oversized file, parameters that do not match its architecture, or a NaN
+    or Inf parameter."""
 
 
 @dataclass
@@ -236,6 +237,8 @@ def load_checkpoint(path) -> ModelWeights:
                 raise CheckpointError(f"truncated checkpoint at {name}")
             params[name] = np.frombuffer(raw, dtype="<f8", count=count,
                                          offset=off).reshape(shape).copy()
+            if not np.isfinite(params[name]).all():
+                raise CheckpointError(f"{name} holds a non-finite value")
             off += 8 * count
     except CheckpointError:
         raise

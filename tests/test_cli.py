@@ -382,6 +382,21 @@ def _snapshot(root):
             for p in sorted(root.rglob("*"))}
 
 
+def _one_nan(values):
+    """A copy of ``values`` whose first element is NaN."""
+    values = np.array(values, dtype=np.float64)
+    values.flat[0] = np.nan
+    return values
+
+
+def _initial_weights(name, update):
+    """Initial weights of the default architecture, which fits FAST_YAML's
+    datasets, with ``update`` applied to parameter ``name``."""
+    weights = model.init_weights(model.Architecture(), 0)
+    weights.params[name] = update(weights.params[name])
+    return weights
+
+
 # Each row: what to prepare under the run's root ("data" copies the
 # generated datasets, "dir" makes a directory, bytes make a file, a Dataset
 # is written with data.save and ModelWeights with model.save_checkpoint;
@@ -435,6 +450,27 @@ def _snapshot(root):
                       model.Architecture(n_source_classes=10), 0)},
                  ["ablate"], "CheckpointError",
                  id="ablate-on-other-source-classes-than-pretrained"),
+    pytest.param({"out": "data", "out/pretrained.ckpt": model.init_weights(
+                      model.Architecture(image_size=8), 0)},
+                 ["diagnose", "--checkpoint", "{out}/pretrained.ckpt"],
+                 "CheckpointError", id="diagnose-on-other-images-than-model"),
+    pytest.param({"out": "data",
+                  "out/pretrained.ckpt": _initial_weights("conv1_b", _one_nan)},
+                 ["diagnose", "--checkpoint", "{out}/pretrained.ckpt"],
+                 "CheckpointError", id="NaN-checkpoint-parameter"),
+    pytest.param({"out": "data", "out/target_test.bin": data.Dataset(
+                      _one_nan(np.zeros((2, 16, 16, 1))), np.zeros(2), 5,
+                      "target")},
+                 ["diagnose", "--affine-stub"], "DatasetFormatError",
+                 id="NaN-dataset-pixel"),
+    pytest.param({"out": "data", "out/pretrained.ckpt": _initial_weights(
+                      "proj_w", lambda w: w * 1e300)},
+                 ["diagnose", "--checkpoint", "{out}/pretrained.ckpt"],
+                 "NonFiniteIL", id="IL-of-overflowing-outputs"),
+    pytest.param({"out": "data", "out/pretrained.ckpt": model.init_weights(
+                      model.Architecture(feature_dim=1), 0)},
+                 ["diagnose", "--checkpoint", "{out}/pretrained.ckpt"],
+                 "ValueError", id="trajectory-of-one-feature"),
 ])
 def test_cli_errors_are_one_json_line(generated, tmp_path, monkeypatch, capsys,
                                       prepare, argv, error):
