@@ -40,7 +40,7 @@ _SECTIONS = ("task", "pretrain", "train", "diagnostics")
 # and 1.0e6 arrive as strings
 _FLOAT_NUMERAL = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
-_SCALARS = {"float": float, "int": int, "bool": bool}
+_SCALARS = {"float": float, "int": int}
 
 
 def _coerce(value, target_type, where: str):
@@ -53,10 +53,9 @@ def _coerce(value, target_type, where: str):
                 or not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{where}: expected finite float, got {value!r}")
         return float(value)
-    # exact types: YAML gives plain ints and bools, and a bool is an int
-    if target_type in (int, bool) and type(value) is not target_type:
-        raise ConfigError(
-            f"{where}: expected {target_type.__name__}, got {value!r}")
+    # an exact type: YAML gives plain ints and bools, and a bool is an int
+    if type(value) is not int:
+        raise ConfigError(f"{where}: expected int, got {value!r}")
     return value
 
 

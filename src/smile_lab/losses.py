@@ -133,8 +133,7 @@ def total_objective(student_t: Dict[str, T.Tensor],
                     lam: float, tgt_pairing: np.ndarray,
                     src_pairing: np.ndarray | None,
                     weights: LossWeights, use_mixup: bool,
-                    compare_space: str = "logits",
-                    lam_src: float | None = None):
+                    compare_space: str = "logits"):
     """Task cross-entropy plus, with use_mixup, the triplet regularizer
     L_mxp + gamma_fe * L_fe + gamma_fc * L_fc, backpropagated into the
     leaves of student_t pass by pass: the clean target batch (task), the
@@ -146,10 +145,10 @@ def total_objective(student_t: Dict[str, T.Tensor],
     with the same seeds, so the leaf gradients have the same bits.
 
     Returns (total, breakdown); total is a parentless Tensor holding the
-    objective's value. lam mixes the target batch and lam_src (default lam)
-    the source batch. Terms with zero weight are skipped entirely (they
-    contribute neither to the value nor the graph), which keeps reduced
-    modes bit-identical to the plain-mixup trainer.
+    objective's value. One lam mixes the target and the source batch.
+    Terms with zero weight are skipped entirely (they contribute neither to
+    the value nor the graph), which keeps reduced modes bit-identical to the
+    plain-mixup trainer.
     """
     use_source = use_mixup and weights.fc > 0
     if use_source and (x_src is None or src_pairing is None):
@@ -162,9 +161,8 @@ def total_objective(student_t: Dict[str, T.Tensor],
             student_t, teacher, x_tgt, y_tgt, n_target_classes, lam,
             tgt_pairing, weights.fe, breakdown))
         if use_source:
-            fc = source_label_mixup_loss(
-                x_src, student_t, teacher, lam if lam_src is None else lam_src,
-                src_pairing, compare_space)
+            fc = source_label_mixup_loss(x_src, student_t, teacher, lam,
+                                         src_pairing, compare_space)
             breakdown.fc = float(fc.values)
             triplet += _backward_now(T.scale(fc, weights.fc))
         total += triplet

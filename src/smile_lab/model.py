@@ -136,23 +136,17 @@ def head_logits_t(feats: T.Tensor, wt: Dict[str, T.Tensor],
     return T.add(T.matmul(feats, wt[f"{head}_w"]), wt[f"{head}_b"])
 
 
-def _conv2d_np(x: np.ndarray, kernel: np.ndarray,
-               bias: np.ndarray) -> np.ndarray:
-    # tensor.conv2d(x, kernel, bias_relu=bias) without the graph
-    n, h, w, _ = x.shape
-    k, cout = kernel.shape[0], kernel.shape[3]
-    out = (T.im2col(x, k) @ kernel.reshape(-1, cout)).reshape(n, h, w, cout)
-    out += bias
-    return np.maximum(out, 0.0, out=out)
-
-
 def feature_extract(x: np.ndarray, weights: ModelWeights) -> np.ndarray:
-    """Gradient-free feature extraction (teacher / evaluation path)."""
+    """Gradient-free feature extraction (teacher / evaluation path): the
+    arithmetic of feature_extract_t without the graph."""
     if x.ndim != 4:
         raise ValueError("expected a batch of shape (N, H, W, C)")
     p = weights.params
-    h = _conv2d_np(x, p["conv1_k"], p["conv1_b"])
-    h = _conv2d_np(h, p["conv2_k"], p["conv2_b"])
+    h = x
+    for layer in ("conv1", "conv2"):
+        # only the pre-activation is kept: the im2col matrix is freed now
+        h = T.conv_layer(h, p[f"{layer}_k"], p[f"{layer}_b"])[1]
+        np.maximum(h, 0.0, out=h)
     pooled = h.mean(axis=(1, 2))
     return np.maximum(pooled @ p["proj_w"] + p["proj_b"], 0.0)
 

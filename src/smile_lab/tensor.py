@@ -227,6 +227,20 @@ def im2col(x: np.ndarray, k: int) -> np.ndarray:
     return windows.reshape(n * h * w, k * k * cin)
 
 
+def conv_layer(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None):
+    """(im2col matrix, pre-activation) of a stride-1 'same' convolution of
+    x (N, H, W, Cin) with kernel (k, k, Cin, Cout), plus bias (Cout,)
+    unless it is None: the forward arithmetic of conv2d and of the
+    graph-free feature extractor."""
+    n, h, w, _ = x.shape
+    k, cout = kernel.shape[0], kernel.shape[3]
+    cols = im2col(x, k)
+    out = (cols @ kernel.reshape(-1, cout)).reshape(n, h, w, cout)
+    if bias is not None:
+        out += bias
+    return cols, out
+
+
 def conv2d(x: Tensor, kernel: Tensor, *,
            bias_relu: Tensor | None = None) -> Tensor:
     """2-D convolution, stride 1, zero 'same' padding, square odd kernel,
@@ -253,11 +267,9 @@ def conv2d(x: Tensor, kernel: Tensor, *,
             raise ValueError(f"conv2d bias_relu must have shape ({cout},)")
         parents += (bias_relu,)
 
-    cols = im2col(x.values, k)
+    bias = None if bias_relu is None else bias_relu.values
+    cols, out_vals = conv_layer(x.values, kernel.values, bias)
     kmat = kernel.values.reshape(k * k * cin, cout)
-    out_vals = (cols @ kmat).reshape(n, h, w, cout)
-    if bias_relu is not None:
-        out_vals += bias_relu.values
 
     def backward(g):
         nonlocal cols

@@ -64,7 +64,6 @@ class TrainConfig:
     mode: str = "SMILE"
     teacher_update: str = "periodic-copy"   # or "ema"
     ema_decay: float = 0.99
-    shared_lambda: bool = True
     compare_space: str = "logits"
     # The squared-norm regularizers are stiff quadratics on unbounded
     # activations; with momentum they can spiral within a few iterations.
@@ -104,10 +103,6 @@ class PretrainConfig:
     batch_size: int = 32
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    # Mixup during pre-training keeps the source model close to linear
-    # in-between source samples, which the fine-tuning regularizers assume;
-    # a plain-CE source model starts with a huge source-domain penalty.
-    use_mixup: bool = True
     alpha: float = 1.0
     seed: int = 0
 
@@ -215,7 +210,7 @@ def diverges_at(k: int, phase: str):
 
 
 def pretrain_source(dataset: Dataset, config: PretrainConfig) -> model.ModelWeights:
-    """Train the feature extractor plus source head with plain SGD."""
+    """Train the feature extractor plus source head on mixed source batches."""
     if len(dataset) == 0:
         raise ValueError("source dataset is empty")
     h, w, c = dataset.inputs.shape[1:]
@@ -226,12 +221,12 @@ def pretrain_source(dataset: Dataset, config: PretrainConfig) -> model.ModelWeig
     rng = np.random.default_rng(config.seed)
     for k in range(1, config.iterations + 1):
         x, y = _sample_batch(dataset, config.batch_size, rng)
-        if config.use_mixup:
-            lam = sample_lambda(config.alpha, rng)
-            pairing = pair_batch(len(x), rng)
-            x, y_j = mix(x, x[pairing], lam), y[pairing]
-        else:
-            lam, y_j = 0.0, y
+        # Mixup keeps the source model close to linear in-between source
+        # samples, which the fine-tuning regularizers assume; a plain-CE
+        # source model starts with a huge source-domain penalty.
+        lam = sample_lambda(config.alpha, rng)
+        pairing = pair_batch(len(x), rng)
+        x, y_j = mix(x, x[pairing], lam), y[pairing]
 
         def objective(wt):
             logits = model.head_logits_t(model.feature_extract_t(x, wt), wt,
@@ -308,7 +303,7 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
         lr = learning_rate_at(k, config)
 
         x, y = _sample_batch(target_train, config.batch_size, rng)
-        lam = tgt_pairing = lam_src = None
+        lam = tgt_pairing = None
         x_src = src_pairing = None
         if use_mixup:
             lam = sample_lambda(config.alpha, rng)
@@ -316,14 +311,11 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
         if needs_source:
             x_src, _ = _sample_batch(source_train, config.batch_size, rng)
             src_pairing = pair_batch(len(x_src), rng)
-            if not config.shared_lambda:
-                lam_src = sample_lambda(config.alpha, rng)
 
         def objective(wt):
             return total_objective(
                 wt, teacher, x, y, x_src, n_tgt_classes, lam, tgt_pairing,
-                src_pairing, eff_weights, use_mixup, config.compare_space,
-                lam_src)[1]
+                src_pairing, eff_weights, use_mixup, config.compare_space)[1]
 
         with diverges_at(k, "training"):
             breakdown = _training_step(student, objective, state, lr,

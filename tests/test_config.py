@@ -129,10 +129,12 @@ def test_overrides_validation():
 
 
 def test_override_bool_and_string():
-    cfg = load_config(None, ["train.shared_lambda=false",
-                             "train.compare_space=probs",
+    # no field takes a bool, and a bool is not an int
+    for override in ["train.iterations=true", "seed=false"]:
+        with pytest.raises(ConfigError):
+            load_config(None, [override])
+    cfg = load_config(None, ["train.compare_space=probs",
                              "output_dir=elsewhere"])
-    assert cfg.train.shared_lambda is False
     assert cfg.train.compare_space == "probs"
     assert cfg.output_dir == "elsewhere"
 

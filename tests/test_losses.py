@@ -212,75 +212,12 @@ def test_total_objective_without_mixup(student):
     assert bd.mxp == 0.0 and bd.fe == 0.0 and bd.fc == 0.0
 
 
-def _objective_two_lambdas_reference(wt, teacher, x, y, x_src, n_classes,
-                                     lams, tgt_pairing, src_pairing, weights,
-                                     compare_space):
-    """The composition the trainer used for separate target and source
-    lambdas before total_objective took lam_src: the target terms first,
-    then the source term added on top."""
-    total, breakdown = losses.total_objective(
-        wt, teacher, x, y, None, n_classes, lams["tgt"], tgt_pairing, None,
-        losses.LossWeights(fe=weights.fe, fc=0.0), True, compare_space)
-    fc = losses.source_label_mixup_loss(x_src, wt, teacher, lams["src"],
-                                        src_pairing, compare_space)
-    breakdown.fc = float(fc.values)
-    total = T.add(total, T.scale(fc, weights.fc))
-    breakdown.total = float(total.values)
-    return total, breakdown
-
-
 def _grads(wt):
     return {n: t.grad for n, t in wt.items()}
 
 
-@pytest.mark.parametrize("compare_space", ["logits", "probs"])
-@pytest.mark.parametrize("fe", [0.01, 0.0])
-def test_lam_src_matches_two_lambda_composition(student, compare_space, fe):
-    teacher = model.init_weights(ARCH, seed=2)
-    weights = losses.LossWeights(fe=fe, fc=0.1)
-    src_pair = np.array([5, 0, 1, 2, 3, 4])
-    wt_ref = model.as_tensors(student)
-    ref_total, ref = _objective_two_lambdas_reference(
-        wt_ref, teacher, X, Y, X_SRC, 5, {"tgt": 0.3, "src": 0.8}, PAIR,
-        src_pair, weights, compare_space)
-    T.backward(ref_total)
-    wt = model.as_tensors(student)
-    total, bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.3, PAIR,
-                                       src_pair, weights, True, compare_space,
-                                       lam_src=0.8)
-    T.backward(total)
-
-    ref_grads, grads = _grads(wt_ref), _grads(wt)
-    assert ref_grads.keys() == grads.keys()
-    for name in grads:
-        assert np.array_equal(grads[name], ref_grads[name]), name
-    assert (bd.task, bd.mxp, bd.fe, bd.fc) == (ref.task, ref.mxp, ref.fe,
-                                               ref.fc)
-    # task + (triplet + fc) against (task + triplet) + fc: each grouping
-    # rounds twice, so they differ by at most a few ulp of the term sum
-    terms = abs(bd.task) + abs(bd.mxp) + weights.fe * bd.fe + weights.fc * bd.fc
-    assert abs(bd.total - ref.total) <= 2 * np.finfo(float).eps * terms
-    assert float(total.values) == bd.total
-
-
-def test_lam_src_defaults_to_lam(student):
-    teacher = model.init_weights(ARCH, seed=2)
-    runs = []
-    for lam_src in (None, 0.3):
-        wt = model.as_tensors(student)
-        total, bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.3,
-                                           PAIR, PAIR, losses.LossWeights(),
-                                           True, lam_src=lam_src)
-        T.backward(total)
-        runs.append((bd, _grads(wt)))
-    (bd_a, grads_a), (bd_b, grads_b) = runs
-    assert bd_a == bd_b
-    for name in grads_a:
-        assert np.array_equal(grads_a[name], grads_b[name])
-
-
 def _single_graph_reference(wt, teacher, weights, compare_space, lam,
-                            lam_src, src_pairing):
+                            src_pairing):
     """The objective as one graph, its terms added in total_objective's
     order and backpropagated from their sum; returns the sum's value."""
     feats = model.feature_extract_t(mix(X, X[PAIR], lam), wt)
@@ -291,30 +228,26 @@ def _single_graph_reference(wt, teacher, weights, compare_space, lam,
                                       PAIR, lam)
         triplet = T.add(triplet, T.scale(fe, weights.fe))
     if weights.fc > 0:
-        fc = losses.source_label_mixup_loss(
-            X_SRC, wt, teacher, lam if lam_src is None else lam_src,
-            src_pairing, compare_space)
+        fc = losses.source_label_mixup_loss(X_SRC, wt, teacher, lam,
+                                            src_pairing, compare_space)
         triplet = T.add(triplet, T.scale(fc, weights.fc))
     total = T.add(losses.task_loss(X, Y, wt, 5), triplet)
     T.backward(total)
     return float(total.values)
 
 
-@pytest.mark.parametrize("lam_src", [None, 0.8])
 @pytest.mark.parametrize("compare_space", ["logits", "probs"])
 @pytest.mark.parametrize("fe, fc", [(0.01, 0.1), (1.0, 0.0), (0.0, 2.5)])
-def test_per_pass_backward_matches_one_graph(student, fe, fc, compare_space,
-                                             lam_src):
+def test_per_pass_backward_matches_one_graph(student, fe, fc, compare_space):
     teacher = model.init_weights(ARCH, seed=2)
     weights = losses.LossWeights(fe=fe, fc=fc)
     src_pair = np.array([5, 0, 1, 2, 3, 4])
     wt_ref = model.as_tensors(student)
     ref_total = _single_graph_reference(wt_ref, teacher, weights,
-                                        compare_space, 0.3, lam_src, src_pair)
+                                        compare_space, 0.3, src_pair)
     wt = model.as_tensors(student)
     total, bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.3, PAIR,
-                                       src_pair, weights, True, compare_space,
-                                       lam_src)
+                                       src_pair, weights, True, compare_space)
 
     def assert_reference_grads():
         for name, ref in _grads(wt_ref).items():

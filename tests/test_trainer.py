@@ -218,15 +218,6 @@ def test_smile_not_constant_teacher(pretrained, datasets):
     assert fc_fixed != fc_per
 
 
-def test_separate_lambda_changes_result(pretrained, datasets):
-    src, tgt, _ = datasets
-    a, _ = train.train(pretrained, tgt, src,
-                       _cfg(mode="SMILE", shared_lambda=True))
-    b, _ = train.train(pretrained, tgt, src,
-                       _cfg(mode="SMILE", shared_lambda=False))
-    assert _hash_weights(a) != _hash_weights(b)
-
-
 def test_train_rejects_empty_target(pretrained):
     empty = data.Dataset(np.zeros((0, 16, 16, 1)), np.zeros(0, dtype=int),
                          5, "target")
@@ -260,24 +251,18 @@ def _pretrain_source_reference(dataset, config):
     for _ in range(config.iterations):
         x, y = train._sample_batch(dataset, config.batch_size, rng)
         wt = model.as_tensors(weights)
-        if config.use_mixup:
-            lam = sample_lambda(config.alpha, rng)
-            pairing = pair_batch(len(x), rng)
-            feats = model.feature_extract_t(mix(x, x[pairing], lam), wt)
-            logits = model.head_logits_t(feats, wt, "src")
-            loss = T.add(
-                T.scale(T.softmax_cross_entropy(
-                    logits, T.constant(losses.one_hot(y, dataset.n_classes))),
-                    1.0 - lam),
-                T.scale(T.softmax_cross_entropy(
-                    logits,
-                    T.constant(losses.one_hot(y[pairing], dataset.n_classes))),
-                    lam))
-        else:
-            logits = model.head_logits_t(model.feature_extract_t(x, wt), wt,
-                                         "src")
-            loss = T.softmax_cross_entropy(
-                logits, T.constant(losses.one_hot(y, dataset.n_classes)))
+        lam = sample_lambda(config.alpha, rng)
+        pairing = pair_batch(len(x), rng)
+        feats = model.feature_extract_t(mix(x, x[pairing], lam), wt)
+        logits = model.head_logits_t(feats, wt, "src")
+        loss = T.add(
+            T.scale(T.softmax_cross_entropy(
+                logits, T.constant(losses.one_hot(y, dataset.n_classes))),
+                1.0 - lam),
+            T.scale(T.softmax_cross_entropy(
+                logits,
+                T.constant(losses.one_hot(y[pairing], dataset.n_classes))),
+                lam))
         T.backward(loss)
         grads = train._collect_grads(wt)
         steps.append(grads)
@@ -286,12 +271,9 @@ def _pretrain_source_reference(dataset, config):
     return weights, steps
 
 
-@pytest.mark.parametrize("use_mixup", [True, False])
-def test_pretrain_matches_inline_loss_reference(monkeypatch, use_mixup,
-                                                weights_equal):
+def test_pretrain_matches_inline_loss_reference(monkeypatch, weights_equal):
     src = data.generate_source(data.TaskSpec(samples_per_class=2, seed=0))
-    cfg = train.PretrainConfig(iterations=4, batch_size=8,
-                               use_mixup=use_mixup)
+    cfg = train.PretrainConfig(iterations=4, batch_size=8)
     steps = []
     sgd_step = T.sgd_step
 
