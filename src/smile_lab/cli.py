@@ -63,6 +63,7 @@ def _inputs(out: Path, ckpt: Path | None, *names: str):
 
 def cmd_gen_data(cfg: ExperimentConfig, args) -> None:
     out = _out_dir(cfg)
+    data.check_memory(cfg.task, cfg.subsample_rate)
     out.mkdir(parents=True, exist_ok=True)
     source = data.generate_source(cfg.task)
     target_full = data.derive_target(cfg.task)

@@ -125,6 +125,10 @@ def apply_overrides(raw: dict, overrides: List[str]) -> dict:
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     """Re-run each section's __post_init__, then check the top-level fields."""
+    # numpy takes no negative seed; the top-level one is also each
+    # section's default, so it is named before any section is checked
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     for name in _SECTIONS:
         try:
             dataclasses.replace(getattr(cfg, name))
@@ -141,7 +145,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         if mode not in MODES:
             raise ConfigError(f"unknown ablation mode {mode!r}")
     for seed in cfg.ablation_seeds:
-        _coerce(seed, int, "ablation_seeds")
+        if _coerce(seed, int, "ablation_seeds") < 0:
+            raise ConfigError(f"ablation_seeds: {seed} is negative")
     if not cfg.ablation_modes:
         raise ConfigError("ablation_modes must name at least one mode")
     # a repeated mode trains its cells twice and a repeated seed reruns a

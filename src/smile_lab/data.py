@@ -26,6 +26,11 @@ class DatasetFormatError(ValueError):
     pixel."""
 
 
+class TaskTooLarge(ValueError):
+    """Generating a task's datasets would need more memory than is
+    available."""
+
+
 @contextlib.contextmanager
 def atomic_write(path, mode: str = "w", **open_kwargs):
     """Open a temporary file beside ``path`` for writing; it replaces
@@ -73,6 +78,8 @@ class TaskSpec:
             raise ValueError("image size and patch size must be >= 1")
         if self.image_size % self.patch_size != 0:
             raise ValueError("patch size must divide image size")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(eq=False)
@@ -169,6 +176,41 @@ def test_split(spec: TaskSpec, domain: str = "target") -> Dataset:
     samples per class."""
     return _draw(spec, domain, max(spec.samples_per_class // 2, 1),
                  4 if domain == "source" else 5)
+
+
+def available_memory() -> int | None:
+    """MemAvailable of /proc/meminfo in bytes; None where it is not known."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def generation_bytes(spec: TaskSpec, rate: float) -> int:
+    """A bound on the memory that generating and saving the four datasets
+    of a task at a subsample rate takes at its peak: their images, two more
+    copies of the largest (a draw's noise, and save's little-endian copy)
+    and two of the source templates (the patches and their tiling)."""
+    per_class = spec.samples_per_class
+    counts = [spec.n_source_classes * per_class,
+              spec.n_target_classes * per_class,
+              spec.n_target_classes * max(math.ceil(rate * per_class), 1),
+              spec.n_target_classes * max(per_class // 2, 1)]
+    images = sum(counts) + 2 * max(counts) + 2 * spec.n_source_classes
+    return images * 8 * (spec.image_size ** 2 * spec.channels + 1)
+
+
+def check_memory(spec: TaskSpec, rate: float) -> None:
+    """Raise TaskTooLarge, before anything is allocated, when the datasets
+    of a task would not fit in the available memory."""
+    need, have = generation_bytes(spec, rate), available_memory()
+    if have is not None and need > have:
+        raise TaskTooLarge(f"the datasets need about {need / 2**30:.3g} GiB, "
+                           f"{have / 2**30:.3g} GiB are available")
 
 
 def stratified_subsample(dataset: Dataset, rate: float, seed: int) -> Dataset:

@@ -52,6 +52,8 @@ class ILConfig:
             raise ValueError("draw counts must be >= 1")
         if self.layer not in ("label", "feature"):
             raise ValueError(f"unknown layer {self.layer!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

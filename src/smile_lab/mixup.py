@@ -5,6 +5,8 @@ Convention: mix(u, v, lam) = (1 - lam) * u + lam * v, so lam = 0 returns u.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -28,6 +30,15 @@ def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
         raise ValueError("alpha must be positive")
     g1 = rng.gamma(alpha, 1.0)
     g2 = rng.gamma(alpha, 1.0)
+    if g1 + g2 == 0.0:
+        # Both draws underflowed (a small alpha). g1 / (g1 + g2) does not
+        # depend on g1 + g2, so two fresh draws keep the law; compare them
+        # in log space, with Gamma(alpha) = Gamma(alpha + 1) * U**(1/alpha).
+        log_g = [math.log(rng.gamma(alpha + 1.0, 1.0)) for _ in range(2)]
+        log_u = [math.log1p(-rng.random()) for _ in range(2)]
+        d = log_g[1] - log_g[0] + (log_u[1] - log_u[0]) / alpha  # log g2/g1
+        e = math.exp(-abs(d))       # 1 / (1 + exp(d)) without an overflow
+        return 1.0 / (1.0 + e) if d < 0 else e / (1.0 + e)
     return float(g1 / (g1 + g2))
 
 

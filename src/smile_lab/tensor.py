@@ -84,10 +84,6 @@ class Tensor:
         self.requires_grad = (any(p.requires_grad for p in self._parents)
                               if self._parents else requires_grad)
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.values)

@@ -46,6 +46,8 @@ def _check_step_settings(config) -> None:
         raise ValueError("momentum must be >= 0")
     if not config.weight_decay >= 0:
         raise ValueError("weight_decay must be >= 0")
+    if config.seed < 0:
+        raise ValueError("seed must be >= 0")
 
 
 @dataclass

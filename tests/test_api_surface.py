@@ -1,18 +1,31 @@
 """Every def and class in src/smile_lab has a caller in src/ or scripts/,
 and every defaulted parameter of a def has a call there that passes it.
 
-A name counts as called when it appears as a Name or an Attribute in the
-source of src/ or scripts/ outside its own definition. A defaulted
-parameter counts as passed when a call of its function's name outside that
-definition names it as a keyword or splats ``**`` arguments, or, for a
-positional parameter, reaches its position or splats ``*`` arguments; an
-``__init__`` is called by its class's name. Tests do not count: an API or a
-parameter that only a test uses is kept only for that test.
+A def counts as called when a reference outside its own definition
+resolves to it the way Python would resolve it, not when its name merely
+appears:
+- a top-level def or class of module ``m`` by its bare name in ``m``, by a
+  name imported from ``m`` (``from .m import f``), or as an attribute of a
+  name bound to ``m`` (``from . import m as M``, then ``M.f``);
+- a method or property by an attribute read of its name. When a numpy
+  array or a builtin container has an attribute of that name (``shape``,
+  ``copy``, ``mean``), only a read on an instance of its class counts:
+  ``self`` in the class, a call of the class, or a name assigned from such
+  a call or annotated with the class;
+- a def nested in a function by its name inside that function.
+
+A defaulted parameter counts as passed when a call of its function's name
+outside that definition names it as a keyword or splats ``**`` arguments,
+or, for a positional parameter, reaches its position or splats ``*``
+arguments; an ``__init__`` is called by its class's name. Tests do not
+count: an API or a parameter that only a test uses is kept only for that
+test.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,6 +35,7 @@ PACKAGE = ROOT / "src" / "smile_lab"
 # the acceptance checks pin them as they are.
 ALLOWED = {
     "grad_check": "criterion 1 checks every analytic gradient with it",
+    "mean": "criterion 1 checks its gradient by name",
     "multiply": "criterion 1 checks its gradient by name",
     "mixup_loss": "criterion 5 checks that mixup at lambda 0 is the task loss",
 }
@@ -39,30 +53,113 @@ ALLOWED_PARAMETERS = {
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
+# Attribute names that a read could mean on a value of one of these types
+_FOREIGN = set().union(*map(dir, (np.ndarray, np.random.Generator, dict,
+                                  list, tuple, str)))
 
-def _walk(node, enclosing, defs, refs, calls):
-    """Collect every definition under ``node``, and every referenced name
-    and every call with the definitions that enclose it."""
+
+class _Module:
+    """One parsed file: its module name and what its imports bind."""
+
+    def __init__(self, path: Path):
+        self.name, package = path.stem, path.parent.name
+        self.tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        self.modules = {}       # local name -> module of the package
+        self.imported = {}      # local name -> (module, name)
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".")
+                if node.level == 0 and parts[0] != package:
+                    continue
+                rest = parts[1:] if node.level == 0 else [p for p in parts
+                                                          if p]
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if rest:
+                        self.imported[local] = (rest[0], alias.name)
+                    else:
+                        self.modules[local] = alias.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    parts = alias.name.split(".")
+                    if parts[0] == package and len(parts) == 2:
+                        self.modules[alias.asname or alias.name] = parts[1]
+
+    def resolve(self, node) -> tuple | None:
+        """(module, name) that a Name or a module-qualified Attribute
+        refers to, if it refers to a top-level name."""
+        if isinstance(node, ast.Name):
+            return self.imported.get(node.id, (self.name, node.id))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in self.modules:
+            return self.modules[node.value.id], node.attr
+        return None
+
+    def classes_of(self, expr) -> set:
+        """Every (module, name) that an annotation or a call's callee
+        names."""
+        return {key for node in ast.walk(expr)
+                if (key := self.resolve(node)) is not None}
+
+
+def _typed_names(module: _Module, scope, parent, env: dict) -> dict:
+    """``env`` (name -> candidate classes) extended by a module's or a
+    function's assignments from calls, and a function's annotated
+    parameters and its ``self``."""
+    env = dict(env)
+    if isinstance(scope, _FUNCTIONS):
+        params = [*scope.args.posonlyargs, *scope.args.args,
+                  *scope.args.kwonlyargs]
+        for arg in params:
+            if arg.annotation is not None:
+                env[arg.arg] = module.classes_of(arg.annotation)
+        if isinstance(parent, ast.ClassDef) and params:
+            env[params[0].arg] = {(module.name, parent.name)}
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:                # the scope's own statements, not nested defs
+        node = stack.pop()
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    env[target.id] = module.classes_of(node.value.func)
+        if not isinstance(node, _DEFS):
+            stack.extend(ast.iter_child_nodes(node))
+    return env
+
+
+def _walk(module, node, enclosing, env, defs, refs, calls):
+    """Collect every definition under ``node`` with its parent node and the
+    definitions that enclose it, every Name and Attribute with the
+    definitions that enclose it and the classes its receiver may have, and
+    every call with the definitions that enclose it."""
     for child in ast.iter_child_nodes(node):
-        inner = enclosing
+        inner, inner_env = enclosing, env
         if isinstance(child, _DEFS):
-            defs.append((child, node))
+            defs.append((module, child, node, enclosing))
             inner = enclosing | {child}
-        elif isinstance(child, ast.Name):
-            refs.append((child.id, enclosing))
-        elif isinstance(child, ast.Attribute):
-            refs.append((child.attr, enclosing))
+            if isinstance(child, _FUNCTIONS):
+                inner_env = _typed_names(module, child, node, env)
+        elif isinstance(child, (ast.Name, ast.Attribute)):
+            receiver = set()
+            if isinstance(child, ast.Attribute):
+                value = child.value
+                if isinstance(value, ast.Call):
+                    receiver = module.classes_of(value.func)
+                elif isinstance(value, ast.Name):
+                    receiver = env.get(value.id, set())
+            refs.append((module, child, enclosing, receiver))
         if isinstance(child, ast.Call):
             calls.append((child, enclosing))
-        _walk(child, inner, defs, refs, calls)
+        _walk(module, child, inner, inner_env, defs, refs, calls)
 
 
 def _parse(package_files, other_files):
     defs, refs, calls = [], [], []
     for path in [*package_files, *other_files]:
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        module = _Module(path)
         found = []
-        _walk(tree, frozenset(), found, refs, calls)
+        env = _typed_names(module, module.tree, None, {})
+        _walk(module, module.tree, frozenset(), env, found, refs, calls)
         if path in package_files:
             defs += found
     return defs, refs, calls
@@ -72,15 +169,30 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _calls_def(definition, ref) -> bool:
+    """Whether reference ``ref`` resolves to ``definition``."""
+    module, node, parent, enclosing = definition
+    ref_module, ref_node, where, receiver = ref
+    if node in where:
+        return False
+    if isinstance(parent, ast.ClassDef):
+        return isinstance(ref_node, ast.Attribute) \
+            and ref_node.attr == node.name \
+            and (node.name not in _FOREIGN
+                 or (module.name, parent.name) in receiver)
+    if not enclosing:
+        return ref_module.resolve(ref_node) == (module.name, node.name)
+    return isinstance(ref_node, ast.Name) and ref_node.id == node.name \
+        and enclosing <= where
+
+
 def uncalled_names(package_files, other_files=()) -> set:
-    """Non-dunder def and class names of ``package_files`` that no node of
-    those files or of ``other_files`` refers to outside their own
-    definition."""
+    """Non-dunder def and class names of ``package_files`` that no
+    reference in those files or in ``other_files`` resolves to."""
     defs, refs, _ = _parse(package_files, other_files)
-    return {node.name for node, _ in defs
-            if not _is_dunder(node.name)
-            and not any(name == node.name and node not in where
-                        for name, where in refs)}
+    return {definition[1].name for definition in defs
+            if not _is_dunder(definition[1].name)
+            and not any(_calls_def(definition, ref) for ref in refs)}
 
 
 def _called_name(call: ast.Call):
@@ -106,7 +218,7 @@ def unpassed_parameters(package_files, other_files=()) -> set:
     ``package_files`` that no call outside the def passes."""
     defs, _, calls = _parse(package_files, other_files)
     out = set()
-    for node, parent in defs:
+    for _, node, parent, _ in defs:
         if not isinstance(node, _FUNCTIONS):
             continue
         callee = node.name
@@ -150,11 +262,42 @@ def test_every_defaulted_parameter_is_passed():
      set()),
     ("class C:\n    def method(self):\n        pass\n\nC()\n", {"method"}),
     ("class C:\n    def __init__(self):\n        pass\n\nC()\n", set()),
+    ("class C:\n    @property\n    def shape(self):\n        return 1\n\n"
+     "import numpy as np\nC()\nnp.zeros(2).shape\n", {"shape"}),
+    ("class C:\n    def copy(self):\n        return self\n\nC()\n"
+     "[1].copy()\n", {"copy"}),
+    ("class C:\n    def copy(self):\n        return self\n\nc = C()\n"
+     "c.copy()\n", set()),
+    ("class C:\n    def copy(self):\n        return self\n\n\n"
+     "def f(c: C):\n    return c.copy()\n\nf(C())\n", set()),
+    ("class C:\n    def copy(self):\n        return self\n\n"
+     "    def twin(self):\n        return self.copy()\n\nC().twin()\n", set()),
+    ("def outer():\n    def inner():\n        pass\n    return inner\n\n"
+     "outer()\n", set()),
+    ("def outer():\n    def inner():\n        pass\n\n\n"
+     "def other():\n    return inner\n\nouter()\nother()\n", {"inner"}),
 ])
 def test_uncalled_names_on_small_sources(tmp_path, source, expected):
     path = tmp_path / "module.py"
     path.write_text(source)
     assert uncalled_names([path]) == expected
+
+
+@pytest.mark.parametrize("user, expected", [
+    ("import numpy as np\n\nnp.zeros(2).mean()\n", {"mean"}),
+    ("from . import tensor\n\nother.mean(1)\n", {"mean"}),
+    ("from . import tensor as T\n\nT.mean(1)\n", set()),
+    ("from .tensor import mean\n\nmean(1)\n", set()),
+    ("from smile_lab import tensor\n\ntensor.mean(1)\n", set()),
+    ("import smile_lab.tensor as T\n\nT.mean(1)\n", set()),
+])
+def test_top_level_defs_are_called_through_imports(tmp_path, user, expected):
+    package = tmp_path / "smile_lab"
+    package.mkdir()
+    (package / "tensor.py").write_text("def mean(a):\n    return a\n")
+    (package / "user.py").write_text(user)
+    assert uncalled_names([package / "tensor.py"],
+                          [package / "user.py"]) == expected
 
 
 @pytest.mark.parametrize("source, expected", [

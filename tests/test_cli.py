@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,34 @@ def test_gen_data_artifacts(workdir):
     # rate 0.5 of 6 per class over 5 classes
     sub = data.load(out / "target_train.bin")
     assert len(sub) == 15
+
+
+def test_gen_data_refuses_a_task_larger_than_memory(workdir, tmp_path,
+                                                    monkeypatch):
+    out, run = workdir
+    cfg = load_config(tmp_path / "exp.yaml")
+    need = data.generation_bytes(cfg.task, cfg.subsample_rate)
+    monkeypatch.setattr(data, "available_memory", lambda: need - 1)
+    code, _, err = run("gen-data")
+    assert code == 1 and not out.exists()
+    assert [json.loads(line)["error"] for line in err.splitlines()] == [
+        "TaskTooLarge"]
+    monkeypatch.setattr(data, "available_memory", lambda: need)
+    assert run("gen-data")[0] == 0
+
+
+def test_generation_bytes_bound_what_gen_data_allocates(workdir, tmp_path):
+    from scipy import ndimage    # noqa: F401  imported by the first rotation
+    _, run = workdir
+    overrides = ["task.image_size=32", "task.samples_per_class=10"]
+    cfg = load_config(tmp_path / "exp.yaml", overrides)
+    tracemalloc.start()
+    try:
+        assert run("gen-data", *overrides)[0] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= data.generation_bytes(cfg.task, cfg.subsample_rate)
 
 
 def test_seed_override_writes_the_same_data_as_file_seed(
@@ -471,6 +500,15 @@ def _initial_weights(name, update):
                       model.Architecture(feature_dim=1), 0)},
                  ["diagnose", "--checkpoint", "{out}/pretrained.ckpt"],
                  "ValueError", id="trajectory-of-one-feature"),
+    *(pytest.param({}, ["gen-data", override], "ConfigError",
+                   id=f"negative-{override.partition('=')[0]}")
+      for override in ["seed=-1", "task.seed=-5", "pretrain.seed=-1",
+                       "train.seed=-1", "diagnostics.seed=-1",
+                       "ablation_seeds=[-1, 0]"]),
+    pytest.param({}, ["gen-data", "train.shared_lambda=false"], "ConfigError",
+                 id="removed-shared-lambda-switch"),
+    pytest.param({}, ["gen-data", "pretrain.use_mixup=false"], "ConfigError",
+                 id="removed-pretraining-mixup-switch"),
 ])
 def test_cli_errors_are_one_json_line(generated, tmp_path, monkeypatch, capsys,
                                       prepare, argv, error):

@@ -169,6 +169,20 @@ def test_field_values_validated(section, key, value):
         build_config({section: {key: value}})
 
 
+@pytest.mark.parametrize("override, detail", [
+    ("seed=-1", "seed must be >= 0"),
+    ("task.seed=-5", "invalid task: seed must be >= 0"),
+    ("pretrain.seed=-1", "invalid pretrain: seed must be >= 0"),
+    ("train.seed=-1", "invalid train: seed must be >= 0"),
+    ("diagnostics.seed=-1", "invalid diagnostics: seed must be >= 0"),
+    ("ablation_seeds=[0, -2]", "ablation_seeds: -2 is negative")])
+def test_negative_seed_is_named(override, detail):
+    # numpy takes no negative seed; the error names the field that has one
+    with pytest.raises(ConfigError) as caught:
+        load_config(None, [override])
+    assert str(caught.value) == detail
+
+
 @pytest.mark.parametrize("key, value, override", [
     ("output_dir", 5, "output_dir=5"),
     ("ablation_seeds", [0, "x"], "ablation_seeds=[0, x]"),

@@ -78,6 +78,48 @@ def test_sample_lambda_rejects_bad_alpha():
         mixup.sample_lambda(0.0, rng)
 
 
+@pytest.mark.parametrize("alpha", [1e-8, 1e-300])
+def test_sample_lambda_small_alpha(alpha):
+    # both Gamma(alpha) draws underflow to 0.0 at such an alpha; the mass of
+    # Beta(alpha, alpha) sits at 0 and 1 in equal shares
+    rng = np.random.default_rng(0)
+    draws = np.array([mixup.sample_lambda(alpha, rng) for _ in range(400)])
+    assert np.all((draws == 0.0) | (draws == 1.0))
+    assert 0.4 < draws.mean() < 0.6
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.05])
+def test_sample_lambda_keeps_bits_and_draws_without_underflow(alpha):
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(2000):
+        g1, g2 = ref.gamma(alpha, 1.0), ref.gamma(alpha, 1.0)
+        assert mixup.sample_lambda(alpha, rng) == float(g1 / (g1 + g2))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _UnderflowingGenerator:
+    """A generator whose first two Gamma draws underflow to 0.0."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def gamma(self, shape, scale):
+        self.calls += 1
+        return 0.0 if self.calls <= 2 else self.rng.gamma(shape, scale)
+
+    def random(self):
+        return self.rng.random()
+
+
+def test_sample_lambda_underflow_branch_draws_beta():
+    # Beta(2, 2) has mean 1/2 and variance 1/20
+    rng = np.random.default_rng(17)
+    draws = np.array([mixup.sample_lambda(2.0, _UnderflowingGenerator(rng))
+                      for _ in range(40_000)])
+    assert abs(draws.mean() - 0.5) < 0.005
+    assert abs(draws.var() - 0.05) < 0.002
+
+
 def test_pair_batch_is_permutation():
     rng = np.random.default_rng(13)
     perm = mixup.pair_batch(10, rng)
