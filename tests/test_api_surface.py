@@ -90,7 +90,8 @@ class _Module:
         refers to, if it refers to a top-level name."""
         if isinstance(node, ast.Name):
             return self.imported.get(node.id, (self.name, node.id))
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
                 and node.value.id in self.modules:
             return self.modules[node.value.id], node.attr
         return None

@@ -1,13 +1,19 @@
+import contextlib
 import dataclasses
+import io
 import json
 import shutil
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from smile_lab import cli, data, interpolation, model, train
-from smile_lab.config import load_config
+from smile_lab.config import ExperimentConfig, load_config
 
 
 FAST_YAML = """\
@@ -537,3 +543,92 @@ def test_cli_errors_are_one_json_line(generated, tmp_path, monkeypatch, capsys,
     assert len(lines) == 1, lines
     assert json.loads(lines[0])["error"] == error
     assert _snapshot(tmp_path) == before
+
+
+# The CLI contract over generated configs: each subcommand of the pipeline
+# exits 0, or exits 1 with exactly one JSON line on stderr and the output
+# directory tree as it was before the command. Every numeric config field
+# is drawn from boundary values and every list field as empty or with a
+# repeated element; the fields come from the config dataclasses, so a new
+# field is covered without a change here. Only 0, 1 and -1 are valid ints,
+# so no example grows a task, a batch or an iteration count past the small
+# base config: each allocates at most a few MB.
+
+# 5e-324 is the smallest positive float
+BOUNDARY = ("0", "1", "-1", "5e-324", "1e300")
+
+CHAIN_BASE = ["task.samples_per_class=4", "pretrain.iterations=3",
+        "train.iterations=3", "pretrain.batch_size=8", "train.batch_size=8",
+        "diagnostics.n_pairs=2", "ablation_modes=[FT, SMILE]",
+        "ablation_seeds=[0, 1]"]
+
+CHAIN = (["gen-data", "--csv"], ["pretrain"], ["train"], ["ablate"],
+         ["diagnose"], ["diagnose", "--affine-stub"], ["report"])
+
+
+def _fields():
+    """{dotted key: values to draw} for every numeric and list field."""
+    cfg = ExperimentConfig()
+    out = {}
+    for prefix, section in [("", cfg), *(
+            (f"{f.name}.", getattr(cfg, f.name))
+            for f in dataclasses.fields(cfg)
+            if dataclasses.is_dataclass(getattr(cfg, f.name)))]:
+        for f in dataclasses.fields(section):
+            value = getattr(section, f.name)
+            if f.type in ("int", "float"):
+                out[prefix + f.name] = BOUNDARY
+            elif isinstance(value, list):
+                out[prefix + f.name] = ("[]", f"[{value[0]}, {value[0]}]")
+    return out
+
+
+DRAWN_FIELDS = _fields()
+
+drawn_overrides = st.lists(
+    st.sampled_from(sorted(DRAWN_FIELDS)), min_size=1, max_size=2,
+    unique=True).flatmap(lambda keys: st.tuples(
+        *(st.sampled_from(DRAWN_FIELDS[k]) for k in keys)).map(
+            lambda values: [f"{k}={v}" for k, v in zip(keys, values)]))
+
+
+def _run_in_process(argv):
+    """(exit code, stderr lines) of one in-process command; a warning
+    counts as a stderr line, as it would print there."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, err.getvalue().splitlines() + [
+        str(w.message) for w in caught]
+
+
+def test_every_field_is_drawn():
+    assert {"seed", "task.seed", "train.alpha", "pretrain.alpha",
+            "ablation_seeds", "ablation_modes"} <= set(DRAWN_FIELDS)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=drawn_overrides)
+# Beta(alpha, alpha) sampling divided 0 by 0 when both Gamma draws
+# underflowed, and numpy refused a negative seed after gen-data had
+# created the output directory
+@example(drawn=["pretrain.alpha=5e-324"])
+@example(drawn=["train.alpha=1e-300"])
+@example(drawn=["task.seed=-1"])
+def test_chain_exits_0_or_1_with_one_json_line(drawn):
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        root = Path(tmp)
+        mp.setenv(cli.ENV_OUTPUT_DIR, str(root / "out"))
+        for step in CHAIN:
+            before = _snapshot(root)
+            code, lines = _run_in_process([*step, *CHAIN_BASE, *drawn])
+            assert code in (0, 1), (step, code)
+            if code == 1:
+                assert len(lines) == 1, (step, lines)
+                assert json.loads(lines[0]).keys() == {"error", "detail"}
+                assert _snapshot(root) == before, step
