@@ -49,7 +49,7 @@ def _inputs(out: Path, ckpt: Path | None, *names: str):
     arch = weights.arch
     image = (arch.image_size, arch.image_size, arch.channels)
     for name, dataset in zip(names, datasets):
-        if len(dataset) and dataset.inputs.shape[1:] != image:
+        if dataset.inputs.shape[1:] != image:
             raise model.CheckpointError(
                 f"{ckpt} takes images of shape {image}, {name} holds "
                 f"{dataset.inputs.shape[1:]}; run `pretrain` again")

@@ -94,6 +94,9 @@ def build_config(raw: dict) -> ExperimentConfig:
         values = raw.get(key, {})
         if not isinstance(values, dict):
             raise ConfigError(f"section {key} must be a mapping")
+        if key == "diagnostics" and "layer" in values:
+            raise ConfigError("diagnostics.layer is not a setting: "
+                              "diagnose reports both layers")
         if "seed" in raw:  # the top-level seed, unless the section sets one
             values = {"seed": raw["seed"], **values}
         _fill(getattr(cfg, key), values, f"{key}.")

@@ -1,4 +1,4 @@
-"""Synthetic source/target classification tasks and dataset persistence.
+"""Synthetic classification tasks, and the binary format of the lab's files.
 
 Classes are random image templates; samples are the template plus Gaussian
 pixel noise, clipped to [0, 1]. The target task is a distorted subset of the
@@ -17,13 +17,21 @@ from pathlib import Path
 import numpy as np
 
 _MAGIC = b"SMDS"
-_VERSION = 1
-_DOMAINS = ("source", "target")
+_VERSION = 2
+_LAYOUT = {"inputs": (4, "<f8"), "labels": (1, "<i8")}  # Dataset fields
+
+_MEMINFO = "/proc/meminfo"
+_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+# limit and usage files by controllers field, also the directory ("" = v2)
+_CGROUP_FILES = {"": ("memory.max", "memory.current"),
+                 "memory": ("memory.limit_in_bytes", "memory.usage_in_bytes")}
+_V1_NO_LIMIT = 9223372036854771712     # the largest page-aligned int64
 
 
 class DatasetFormatError(ValueError):
-    """Bad magic, version, or truncated dataset file, or a NaN or Inf
-    pixel."""
+    """A malformed dataset file (see load_arrays), a label outside its
+    classes, or inputs and labels of different lengths."""
 
 
 class TaskTooLarge(ValueError):
@@ -87,13 +95,10 @@ class Dataset:
     inputs: np.ndarray      # (N, H, W, C), values in [0, 1]
     labels: np.ndarray      # (N,) int64
     n_classes: int
-    domain: str
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.domain not in _DOMAINS:
-            raise ValueError(f"unknown domain {self.domain!r}")
         if len(self.inputs) != len(self.labels):
             raise ValueError("inputs/labels length mismatch")
         if len(self.labels) and (self.labels.min() < 0
@@ -159,7 +164,7 @@ def _draw(spec: TaskSpec, domain: str, per_class: int,
         (-1,) + templates.shape[1:])
     labels = np.repeat(np.arange(len(templates)), per_class)
     order = rng.permutation(len(labels))
-    return Dataset(inputs[order], labels[order], len(templates), domain)
+    return Dataset(inputs[order], labels[order], len(templates))
 
 
 def generate_source(spec: TaskSpec) -> Dataset:
@@ -178,16 +183,30 @@ def test_split(spec: TaskSpec, domain: str = "target") -> Dataset:
                  4 if domain == "source" else 5)
 
 
-def available_memory() -> int | None:
-    """MemAvailable of /proc/meminfo in bytes; None where it is not known."""
+def _read(path) -> str:
+    """The text of a file; empty where it cannot be read."""
     try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
+        return Path(path).read_text(encoding="ascii")
     except OSError:
-        pass
-    return None
+        return ""
+
+
+def available_memory() -> int | None:
+    """The smaller of MemAvailable of /proc/meminfo and the limit minus the
+    usage of the process's memory cgroup (v2 or v1), in bytes; None where
+    neither is known. A limit of "max" (v2) or _V1_NO_LIMIT is none."""
+    known = [int(line.split()[1]) * 1024 for line in
+             _read(_MEMINFO).splitlines() if line.startswith("MemAvailable:")]
+    for line in _read(_CGROUP).splitlines():
+        _, controllers, path = line.split(":", 2)
+        if controllers in _CGROUP_FILES:
+            limit, usage = (_read(Path(_CGROUP_ROOT, controllers,
+                                       path.lstrip("/"), name)).strip()
+                            for name in _CGROUP_FILES[controllers])
+            if limit.isdigit() and usage.isdigit() \
+                    and int(limit) < _V1_NO_LIMIT:
+                known.append(max(int(limit) - int(usage), 0))
+    return min(known, default=None)
 
 
 def generation_bytes(spec: TaskSpec, rate: float) -> int:
@@ -230,48 +249,81 @@ def stratified_subsample(dataset: Dataset, rate: float, seed: int) -> Dataset:
     keep = np.concatenate(keep)
     keep = keep[rng.permutation(len(keep))]
     return Dataset(dataset.inputs[keep], dataset.labels[keep],
-                   dataset.n_classes, dataset.domain)
+                   dataset.n_classes)
+
+
+def save_arrays(path, magic: bytes, version: int, header, arrays) -> None:
+    """Write the one binary format: ``magic``; uint32 ``version``, ``header``
+    values and array count; then per array, in name order, its name (length
+    and UTF-8), rank and shape (uint32) and its values, all little-endian."""
+    with atomic_write(path, "wb") as fh:
+        fh.write(magic + struct.pack(f"<{len(header) + 2}I", version,
+                                     *header, len(arrays)))
+        for name in sorted(arrays):
+            raw_name, arr = name.encode(), arrays[name]
+            fh.write(struct.pack(f"<I{len(raw_name)}sI{arr.ndim}I",
+                                 len(raw_name), raw_name, arr.ndim,
+                                 *arr.shape))
+            fh.write(np.asarray(arr, arr.dtype.newbyteorder("<")).tobytes())
+
+
+def load_arrays(path, magic: bytes, version: int, n_header: int, layout,
+                error: type):
+    """(header values, {name: array}) of a save_arrays file. ``layout``
+    maps each name the file may hold to its (rank, dtype). A bad magic or
+    version, a cut at any byte, trailing bytes, an unknown or repeated
+    name, a wrong rank and a NaN or Inf float each raise ``error``."""
+    raw = Path(path).read_bytes()
+    off = 0
+
+    def take(fmt: str) -> tuple:
+        nonlocal off
+        values = struct.unpack_from("<" + fmt, raw, off)
+        off += struct.calcsize("<" + fmt)
+        return values
+
+    arrays = {}
+    try:
+        found_magic, found_version, *header, n_arrays = take(
+            f"{len(magic)}s{n_header + 2}I")
+        if (found_magic, found_version) != (magic, version):
+            raise error(f"{found_magic!r} version {found_version}, not "
+                        f"{magic!r} version {version}")
+        for _ in range(n_arrays):
+            (name_len,) = take("I")
+            name = take(f"{name_len}s")[0].decode()
+            if name not in layout or name in arrays:
+                raise error(f"unexpected array {name!r}")
+            rank, dtype = layout[name]
+            if take("I") != (rank,):
+                raise error(f"{name} does not have {rank} dimensions")
+            shape = take(f"{rank}I")
+            if off + math.prod(shape) * np.dtype(dtype).itemsize > len(raw):
+                raise error(f"file cut in {name}")
+            arr = np.frombuffer(raw, dtype, math.prod(shape), off).copy()
+            off += arr.nbytes
+            if not np.isfinite(arr).all():
+                raise error(f"{name} holds a NaN or Inf")
+            arrays[name] = arr.reshape(shape)
+    except (struct.error, UnicodeDecodeError) as exc:  # a cut or a bad name
+        raise error(f"malformed file: {exc}") from exc
+    if off != len(raw):
+        raise error(f"{len(raw) - off} trailing bytes")
+    return header, arrays
 
 
 def save(dataset: Dataset, path) -> None:
-    """Little-endian binary: header, then raw float64 pixels, then int64 labels."""
-    n, h, w, c = dataset.inputs.shape if len(dataset) else (0, 0, 0, 0)
-    header = struct.pack(
-        "<4sIIIIIIB", _MAGIC, _VERSION, h, w, c, n, dataset.n_classes,
-        _DOMAINS.index(dataset.domain))
-    with atomic_write(path, "wb") as fh:
-        fh.write(header)
-        fh.write(dataset.inputs.astype("<f8").tobytes())
-        fh.write(dataset.labels.astype("<i8").tobytes())
+    """save_arrays of the class count, the images and the labels."""
+    save_arrays(path, _MAGIC, _VERSION, (dataset.n_classes,),
+                {"inputs": dataset.inputs, "labels": dataset.labels})
 
 
 def load(path) -> Dataset:
-    header_size = struct.calcsize("<4sIIIIIIB")
-    raw = Path(path).read_bytes()
-    if len(raw) < header_size:
-        raise DatasetFormatError("truncated header")
-    magic, version, h, w, c, n, n_classes, domain_idx = struct.unpack(
-        "<4sIIIIIIB", raw[:header_size])
-    if magic != _MAGIC:
-        raise DatasetFormatError("bad magic")
-    if version != _VERSION:
-        raise DatasetFormatError(f"unsupported version {version}")
-    if domain_idx >= len(_DOMAINS):
-        raise DatasetFormatError(f"unknown domain index {domain_idx}")
-    pixel_bytes = n * h * w * c * 8
-    label_bytes = n * 8
-    if len(raw) != header_size + pixel_bytes + label_bytes:
-        raise DatasetFormatError("truncated or oversized payload")
-    inputs = np.frombuffer(
-        raw, dtype="<f8", count=n * h * w * c, offset=header_size
-    ).reshape(n, h, w, c).copy()
-    if not np.isfinite(inputs).all():
-        raise DatasetFormatError("non-finite pixel")
-    labels = np.frombuffer(
-        raw, dtype="<i8", count=n, offset=header_size + pixel_bytes).copy()
-    try:
-        return Dataset(inputs, labels, n_classes, _DOMAINS[domain_idx])
-    except ValueError as exc:  # a label outside [0, n_classes)
+    (n_classes,), arrays = load_arrays(path, _MAGIC, _VERSION, 1, _LAYOUT,
+                                       DatasetFormatError)
+    try:  # an array missing, a label outside [0, n_classes), lengths apart
+        return Dataset(n_classes=n_classes, **arrays)
+    except (TypeError, ValueError) as exc:
         raise DatasetFormatError(str(exc)) from exc
 
 

@@ -6,25 +6,21 @@ Tensors when gradients are needed.
 
 from __future__ import annotations
 
-import math
-import struct
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import astuple, dataclass, field, fields
 from typing import Dict
 
 import numpy as np
 
 from . import tensor as T
-from .data import atomic_write
+from .data import load_arrays, save_arrays
 
 _CKPT_MAGIC = b"SMWT"
 _CKPT_VERSION = 1
 
 
 class CheckpointError(ValueError):
-    """A malformed checkpoint: bad magic or version, a truncated or
-    oversized file, parameters that do not match its architecture, or a NaN
-    or Inf parameter."""
+    """A malformed checkpoint file (see data.load_arrays), or parameters
+    that do not match its architecture or do not form a model."""
 
 
 @dataclass
@@ -39,15 +35,10 @@ class Architecture:
     n_target_classes: int = 5
 
     def __post_init__(self):
-        if min(self.as_tuple()) < 1:
+        if min(astuple(self)) < 1:
             raise ValueError("architecture sizes must be >= 1")
         if self.kernel_size % 2 == 0:
             raise ValueError("kernel_size must be odd")
-
-    def as_tuple(self):
-        return (self.image_size, self.channels, self.conv1_filters,
-                self.conv2_filters, self.kernel_size, self.feature_dim,
-                self.n_source_classes, self.n_target_classes)
 
     def param_shapes(self) -> Dict[str, tuple]:
         """Shape of every parameter, the target head included."""
@@ -65,7 +56,6 @@ class Architecture:
 # Parameter names of the shared feature extractor.
 FE_PARAMS = ("conv1_k", "conv1_b", "conv2_k", "conv2_b", "proj_w", "proj_b")
 SRC_HEAD_PARAMS = ("src_w", "src_b")
-TGT_HEAD_PARAMS = ("tgt_w", "tgt_b")
 
 
 @dataclass
@@ -161,9 +151,6 @@ def head_logits(feats: np.ndarray, weights: ModelWeights) -> np.ndarray:
 def init_from_pretrained(pretrained: ModelWeights, seed: int):
     """Student copies the pretrained FE and source head and gets a fresh
     target head; teacher is the same copy without a target head."""
-    for name in FE_PARAMS + SRC_HEAD_PARAMS:
-        if name not in pretrained.params:
-            raise CheckpointError(f"pretrained weights missing {name}")
     teacher = ModelWeights(
         pretrained.arch,
         {k: pretrained.params[k].copy()
@@ -176,72 +163,29 @@ def init_from_pretrained(pretrained: ModelWeights, seed: int):
 
 
 def save_checkpoint(weights: ModelWeights, path) -> None:
-    arch_vals = weights.arch.as_tuple()
-    names = sorted(weights.params)
-    with atomic_write(path, "wb") as fh:
-        fh.write(struct.pack("<4sI", _CKPT_MAGIC, _CKPT_VERSION))
-        fh.write(struct.pack(f"<{len(arch_vals)}I", *arch_vals))
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            raw_name = name.encode()
-            arr = weights.params[name]
-            fh.write(struct.pack("<I", len(raw_name)))
-            fh.write(raw_name)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8").tobytes())
+    """data.save_arrays of the architecture and the float64 parameters."""
+    save_arrays(path, _CKPT_MAGIC, _CKPT_VERSION, astuple(weights.arch),
+                {name: value.astype("<f8", copy=False)
+                 for name, value in weights.params.items()})
 
 
 def load_checkpoint(path) -> ModelWeights:
     """Read a checkpoint written by save_checkpoint; any malformed file
     raises CheckpointError."""
-    raw = Path(path).read_bytes()
+    # no architecture size changes the rank of a parameter
+    layout = {name: (len(shape), "<f8")
+              for name, shape in Architecture().param_shapes().items()}
+    arch_values, params = load_arrays(
+        path, _CKPT_MAGIC, _CKPT_VERSION, len(fields(Architecture)), layout,
+        CheckpointError)
     try:
-        off = struct.calcsize("<4sI")
-        magic, version = struct.unpack_from("<4sI", raw)
-        if magic != _CKPT_MAGIC:
-            raise CheckpointError("bad checkpoint magic")
-        if version != _CKPT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        n_arch = len(Architecture().as_tuple())
-        arch = Architecture(*struct.unpack_from(f"<{n_arch}I", raw, off))
-        off += 4 * n_arch
-        shapes = arch.param_shapes()
-        (n_params,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        params: Dict[str, np.ndarray] = {}
-        for _ in range(n_params):
-            (name_len,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            name = raw[off:off + name_len].decode()
-            off += name_len
-            if name not in shapes or name in params:
-                raise CheckpointError(f"unexpected parameter {name!r}")
-            (ndim,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            if ndim != len(shapes[name]):
-                raise CheckpointError(f"{name} has {ndim} dimensions")
-            shape = struct.unpack_from(f"<{ndim}I", raw, off)
-            off += 4 * ndim
-            if shape != shapes[name]:
-                raise CheckpointError(
-                    f"{name} has shape {shape}, not {shapes[name]}")
-            count = math.prod(shape)
-            if off + 8 * count > len(raw):
-                raise CheckpointError(f"truncated checkpoint at {name}")
-            params[name] = np.frombuffer(raw, dtype="<f8", count=count,
-                                         offset=off).reshape(shape).copy()
-            if not np.isfinite(params[name]).all():
-                raise CheckpointError(f"{name} holds a non-finite value")
-            off += 8 * count
-    except CheckpointError:
-        raise
-    except (struct.error, ValueError) as exc:  # a cut or a bad name or size
+        arch = Architecture(*arch_values)
+    except ValueError as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-    if off != len(raw):
-        raise CheckpointError(f"{len(raw) - off} trailing bytes")
-    expected = set(FE_PARAMS + SRC_HEAD_PARAMS)
-    if set(params) not in (expected, expected | set(TGT_HEAD_PARAMS)):
-        raise CheckpointError(
-            f"parameters {sorted(params)} do not form a model")
+    # the parameters of the architecture, with or without the target head
+    shapes = arch.param_shapes()
+    found = {name: value.shape for name, value in params.items()}
+    if found not in (shapes, {name: shapes[name]
+                              for name in FE_PARAMS + SRC_HEAD_PARAMS}):
+        raise CheckpointError(f"parameters {found} do not fit {arch}")
     return ModelWeights(arch, params)

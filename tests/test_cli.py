@@ -464,7 +464,7 @@ def _initial_weights(name, update):
     pytest.param({"out": "data"}, ["pretrain", "pretrain.lr=1000000000.0"],
                  "TrainingDiverged", id="pretraining-diverges"),
     pytest.param({"out": "data", "out/target_test.bin": data.Dataset(
-                      np.zeros((2, 16, 16, 1)), np.zeros(2), 5, "target")},
+                      np.zeros((2, 16, 16, 1)), np.zeros(2), 5)},
                  ["diagnose", "--affine-stub"], "AllDrawsDegenerate",
                  id="every-IL-draw-degenerate"),
     pytest.param({"out": "data"}, ["pretrain", "pretrain.iterations=0"],
@@ -494,8 +494,7 @@ def _initial_weights(name, update):
                  ["diagnose", "--checkpoint", "{out}/pretrained.ckpt"],
                  "CheckpointError", id="NaN-checkpoint-parameter"),
     pytest.param({"out": "data", "out/target_test.bin": data.Dataset(
-                      _one_nan(np.zeros((2, 16, 16, 1))), np.zeros(2), 5,
-                      "target")},
+                      _one_nan(np.zeros((2, 16, 16, 1))), np.zeros(2), 5)},
                  ["diagnose", "--affine-stub"], "DatasetFormatError",
                  id="NaN-dataset-pixel"),
     pytest.param({"out": "data", "out/pretrained.ckpt": _initial_weights(
@@ -515,6 +514,8 @@ def _initial_weights(name, update):
                  id="removed-shared-lambda-switch"),
     pytest.param({}, ["gen-data", "pretrain.use_mixup=false"], "ConfigError",
                  id="removed-pretraining-mixup-switch"),
+    pytest.param({"out": "data"}, ["diagnose", "diagnostics.layer=feature"],
+                 "ConfigError", id="diagnose-ignores-a-layer"),
 ])
 def test_cli_errors_are_one_json_line(generated, tmp_path, monkeypatch, capsys,
                                       prepare, argv, error):
@@ -551,8 +552,10 @@ def test_cli_errors_are_one_json_line(generated, tmp_path, monkeypatch, capsys,
 # is drawn from boundary values and every list field as empty or with a
 # repeated element; the fields come from the config dataclasses, so a new
 # field is covered without a change here. Only 0, 1 and -1 are valid ints,
-# so no example grows a task, a batch or an iteration count past the small
-# base config: each allocates at most a few MB.
+# so no drawn example grows a task, a batch or an iteration count past the
+# small base config: each allocates at most a few MB. The explicit large
+# ints are a batch, which is capped at its dataset, and a task, which
+# gen-data refuses before it allocates anything.
 
 # 5e-324 is the smallest positive float
 BOUNDARY = ("0", "1", "-1", "5e-324", "1e300")
@@ -610,16 +613,10 @@ def test_every_field_is_drawn():
             "ablation_seeds", "ablation_modes"} <= set(DRAWN_FIELDS)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(drawn=drawn_overrides)
-# Beta(alpha, alpha) sampling divided 0 by 0 when both Gamma draws
-# underflowed, and numpy refused a negative seed after gen-data had
-# created the output directory
-@example(drawn=["pretrain.alpha=5e-324"])
-@example(drawn=["train.alpha=1e-300"])
-@example(drawn=["task.seed=-1"])
-def test_chain_exits_0_or_1_with_one_json_line(drawn):
+def _chain_errors(drawn):
+    """The error each step of CHAIN names under the overrides ``drawn``,
+    None for a step that exits 0, after checking the contract of each."""
+    errors = []
     with tempfile.TemporaryDirectory() as tmp, \
             pytest.MonkeyPatch.context() as mp:
         root = Path(tmp)
@@ -632,3 +629,33 @@ def test_chain_exits_0_or_1_with_one_json_line(drawn):
                 assert len(lines) == 1, (step, lines)
                 assert json.loads(lines[0]).keys() == {"error", "detail"}
                 assert _snapshot(root) == before, step
+            errors.append(None if code == 0 else json.loads(lines[0])["error"])
+    return errors
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=drawn_overrides)
+# Beta(alpha, alpha) sampling divided 0 by 0 when both Gamma draws
+# underflowed, and numpy refused a negative seed after gen-data had
+# created the output directory
+@example(drawn=["pretrain.alpha=5e-324"])
+@example(drawn=["train.alpha=1e-300"])
+@example(drawn=["task.seed=-1"])
+# the large valid ints, which no draw reaches
+@example(drawn=["train.batch_size=1000000"])
+@example(drawn=["pretrain.batch_size=1000000"])
+@example(drawn=["task.samples_per_class=1000000000"])
+def test_chain_exits_0_or_1_with_one_json_line(drawn):
+    _chain_errors(drawn)
+
+
+@pytest.mark.parametrize("override, errors", [
+    ("train.batch_size=1000000", [None] * len(CHAIN)),
+    ("pretrain.batch_size=1000000", [None] * len(CHAIN)),
+    # every later step misses the datasets, and report every artifact
+    ("task.samples_per_class=1000000000",
+     ["TaskTooLarge"] + ["FileNotFoundError"] * (len(CHAIN) - 1)),
+])
+def test_large_valid_ints_run_or_are_refused_first(override, errors):
+    assert _chain_errors([override]) == errors

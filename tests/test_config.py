@@ -139,6 +139,18 @@ def test_override_bool_and_string():
     assert cfg.output_dir == "elsewhere"
 
 
+@pytest.mark.parametrize("override", ["diagnostics.layer=feature",
+                                      "diagnostics.layer=label"])
+def test_diagnostics_layer_is_refused(override, tmp_path):
+    # diagnose estimates both layers, so a set layer would be ignored
+    with pytest.raises(ConfigError, match="diagnostics.layer"):
+        load_config(None, [override])
+    path = tmp_path / "exp.yaml"
+    path.write_text(f"diagnostics:\n  layer: {override.partition('=')[2]}\n")
+    with pytest.raises(ConfigError, match="diagnostics.layer"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("override", ["train.batch_size=0",
                                       "pretrain.batch_size=0",
                                       "train.lr=-1", "pretrain.lr=0"])

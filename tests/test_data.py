@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ def test_source_shapes_and_range():
     assert ds.inputs.shape == (n, 16, 16, 1)
     assert ds.labels.shape == (n,)
     assert ds.inputs.min() >= 0.0 and ds.inputs.max() <= 1.0
-    assert ds.domain == "source"
+    assert ds.n_classes == SMALL.n_source_classes
     counts = np.bincount(ds.labels, minlength=SMALL.n_source_classes)
     assert np.all(counts == SMALL.samples_per_class)
 
@@ -24,7 +25,6 @@ def test_source_shapes_and_range():
 def test_target_shapes_and_classes():
     ds = data.derive_target(SMALL)
     assert ds.n_classes == SMALL.n_target_classes
-    assert ds.domain == "target"
     assert set(np.unique(ds.labels)) == set(range(SMALL.n_target_classes))
     assert ds.inputs.min() >= 0.0 and ds.inputs.max() <= 1.0
 
@@ -77,7 +77,7 @@ def _draw_per_class_reference(spec, domain, per_class, stream):
         labels.append(np.full(per_class, c))
     order = rng.permutation(len(templates) * per_class)
     return data.Dataset(np.concatenate(inputs)[order],
-                        np.concatenate(labels)[order], len(templates), domain)
+                        np.concatenate(labels)[order], len(templates))
 
 
 @pytest.mark.parametrize("sigma", [0.25, 0.0])
@@ -95,7 +95,7 @@ def test_generators_match_per_class_reference(sigma, datasets_equal):
 
 def test_held_out_split_source_domain():
     test = data.test_split(SMALL, domain="source")
-    assert test.domain == "source"
+    assert test.n_classes == SMALL.n_source_classes
     assert len(test) == SMALL.n_source_classes * 3
 
 
@@ -141,10 +141,9 @@ def test_load_rejects_bad_magic(tmp_path):
         data.load(path)
 
 
-# two 4x4 rows: a 301-byte file with a 29-byte header
+# two 4x4 rows: a 336-byte file whose class count is at bytes 8 to 11
 _TINY = data.Dataset(np.linspace(0.0, 1.0, 32).reshape(2, 4, 4, 1),
-                     np.array([1, 0]), 2, "target")
-_HEADER_SIZE = 29
+                     np.array([1, 0]), 2)
 
 
 def _tiny_blob(tmp_path):
@@ -161,32 +160,73 @@ def test_load_rejects_truncated_file(tmp_path):
             data.load(path)
 
 
-def test_load_rejects_bad_domain_and_label(tmp_path):
+def test_load_rejects_a_label_outside_its_classes(tmp_path):
     blob = bytearray(_tiny_blob(tmp_path))
     path = tmp_path / "bad.bin"
-    for offset, byte in ((_HEADER_SIZE - 1, 2), (len(blob) - 16, 2),
-                         (len(blob) - 1, 0xFF)):
+    for offset, byte in ((8, 1), (len(blob) - 16, 2), (len(blob) - 1, 0xFF)):
         bad = bytearray(blob)
-        bad[offset] = byte   # domain 2, label 2 of 2 classes, label -1
+        bad[offset] = byte   # 1 class, label 2 of 2 classes, label -1
         path.write_bytes(bytes(bad))
         with pytest.raises(data.DatasetFormatError):
             data.load(path)
 
 
-@settings(max_examples=200, deadline=None,
+def test_load_names_an_old_version(tmp_path):
+    # the version-1 layout: a fixed header (magic, version, height, width,
+    # channels, count, class count, domain byte), then pixels and labels
+    path = tmp_path / "v1.bin"
+    path.write_bytes(struct.pack("<4sIIIIIIB", b"SMDS", 1, 4, 4, 1, 2, 2, 1)
+                     + _TINY.inputs.tobytes() + _TINY.labels.tobytes())
+    with pytest.raises(data.DatasetFormatError, match="version 1"):
+        data.load(path)
+
+
+def test_empty_dataset_round_trips_with_its_shape(tmp_path, datasets_equal):
+    empty = data.Dataset(np.zeros((0, 16, 16, 3)), np.zeros(0, dtype=int), 5)
+    data.save(empty, tmp_path / "empty.bin")
+    loaded = data.load(tmp_path / "empty.bin")
+    assert loaded.inputs.shape == (0, 16, 16, 3)
+    assert datasets_equal(loaded, empty)
+
+
+class _Malformed(ValueError):
+    pass
+
+
+def test_load_arrays_rejects_a_repeated_name_and_a_wrong_rank(tmp_path):
+    path = tmp_path / "arrays.bin"
+    arrays = {"a": np.arange(2.0), "b": np.arange(3)}
+    data.save_arrays(path, b"TEST", 7, (5, 6), arrays)
+    layout = {"a": (1, "<f8"), "b": (1, "<i8")}
+    header, loaded = data.load_arrays(path, b"TEST", 7, 2, layout, _Malformed)
+    assert list(header) == [5, 6] and loaded.keys() == arrays.keys()
+    assert all(np.array_equal(loaded[k], arrays[k]) for k in arrays)
+    with pytest.raises(_Malformed, match="dimensions"):
+        data.load_arrays(path, b"TEST", 7, 2, {**layout, "b": (2, "<i8")},
+                         _Malformed)
+    # the second name, "b", becomes "a"
+    path.write_bytes(path.read_bytes().replace(b"\x01\x00\x00\x00b",
+                                               b"\x01\x00\x00\x00a"))
+    with pytest.raises(_Malformed, match="unexpected array 'a'"):
+        data.load_arrays(path, b"TEST", 7, 2, layout, _Malformed)
+
+
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(offset=st.integers(0, _HEADER_SIZE - 1), flip=st.integers(1, 255))
-def test_header_byte_flip_loads_or_raises_format_error(tmp_path, offset, flip):
+@given(data_=st.data(), flip=st.integers(1, 255))
+def test_header_byte_flip_loads_or_raises_format_error(tmp_path, data_, flip):
     blob = bytearray(_tiny_blob(tmp_path))
-    blob[offset] ^= flip
+    blob[data_.draw(st.integers(0, len(blob) - 1))] ^= flip
     path = tmp_path / "flipped.bin"
     path.write_bytes(bytes(blob))
     try:
         loaded = data.load(path)
     except data.DatasetFormatError:
         return
-    # a flip that keeps the file consistent (say a larger class count)
-    assert len(loaded) == len(_TINY)
+    # a flip in a value, or one that keeps the file consistent (say a
+    # larger class count)
+    assert loaded.inputs.shape == _TINY.inputs.shape
+    assert loaded.labels.shape == _TINY.labels.shape
 
 
 def test_export_csv(tmp_path):
@@ -251,11 +291,9 @@ def test_a_writer_that_raises_leaves_the_old_artifact(tmp_path, write):
 
 def test_dataset_validation():
     with pytest.raises(ValueError):
-        data.Dataset(np.zeros((2, 4, 4, 1)), np.array([0]), 2, "target")
+        data.Dataset(np.zeros((2, 4, 4, 1)), np.array([0]), 2)
     with pytest.raises(ValueError):
-        data.Dataset(np.zeros((1, 4, 4, 1)), np.array([5]), 2, "target")
-    with pytest.raises(ValueError):
-        data.Dataset(np.zeros((1, 4, 4, 1)), np.array([0]), 2, "elsewhere")
+        data.Dataset(np.zeros((1, 4, 4, 1)), np.array([5]), 2)
 
 
 @settings(max_examples=20, deadline=None)
@@ -285,12 +323,69 @@ def _csv_writer_reference(dataset, path):
     data.derive_target(data.TaskSpec(samples_per_class=2, seed=0)),
     data.Dataset(np.array([0.0, 1.0, 1e-05, 5e-324, 0.30000000000000004,
                            0.1, 2.5e-300, 0.9999999999999999])
-                 .reshape(2, 2, 2, 1), np.array([0, 3]), 4, "source"),
-    data.Dataset(np.zeros((0, 4, 4, 1)), np.zeros(0, dtype=np.int64), 2,
-                 "target"),
+                 .reshape(2, 2, 2, 1), np.array([0, 3]), 4),
+    data.Dataset(np.zeros((0, 4, 4, 1)), np.zeros(0, dtype=np.int64), 2),
 ], ids=["generated", "float-edge-cases", "empty"])
 def test_export_csv_matches_csv_writer(tmp_path, dataset):
     data.export_csv(dataset, tmp_path / "fast.csv")
     _csv_writer_reference(dataset, tmp_path / "reference.csv")
     assert (tmp_path / "fast.csv").read_bytes() == \
         (tmp_path / "reference.csv").read_bytes()
+
+
+def _fake_proc(tmp_path, monkeypatch, meminfo, cgroup, files):
+    """Point data's /proc and cgroup paths at files under tmp_path; a None
+    file is missing."""
+    for name, text in {"meminfo": meminfo, "cgroup": cgroup,
+                       **{f"fs/{k}": v for k, v in files.items()}}.items():
+        if text is not None:
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text)
+    monkeypatch.setattr(data, "_MEMINFO", str(tmp_path / "meminfo"))
+    monkeypatch.setattr(data, "_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(data, "_CGROUP_ROOT", str(tmp_path / "fs"))
+
+
+@pytest.mark.parametrize("cgroup, files, expected", [
+    # v2: memory.max minus memory.current, below MemAvailable
+    ("0::/box\n", {"box/memory.max": "1000000\n",
+                   "box/memory.current": "400000\n"}, 600_000),
+    ("0::/box\n", {"box/memory.max": "max\n",
+                   "box/memory.current": "400000\n"}, 8192_000),
+    # headroom above MemAvailable
+    ("0::/\n", {"memory.max": "99999999999\n", "memory.current": "0\n"},
+     8192_000),
+    # v1 beside other controllers and an unlimited v2 root
+    ("5:cpu:/\n4:memory:/job\n0::/\n",
+     {"memory/job/memory.limit_in_bytes": "3000\n",
+      "memory/job/memory.usage_in_bytes": "1000\n"}, 2000),
+    ("4:memory:/job\n",
+     {"memory/job/memory.limit_in_bytes": "9223372036854771712\n",
+      "memory/job/memory.usage_in_bytes": "1000\n"}, 8192_000),
+    # usage past the limit leaves nothing
+    ("4:memory:/\n", {"memory/memory.limit_in_bytes": "3000\n",
+                      "memory/memory.usage_in_bytes": "5000\n"}, 0),
+    # a cgroup whose files cannot be read counts as no limit
+    ("0::/gone\n", {}, 8192_000),
+])
+def test_available_memory_honours_the_memory_cgroup(tmp_path, monkeypatch,
+                                                    cgroup, files, expected):
+    _fake_proc(tmp_path, monkeypatch,
+               "MemTotal:       9000 kB\nMemAvailable:   8000 kB\n", cgroup,
+               files)
+    assert data.available_memory() == expected
+
+
+@pytest.mark.parametrize("cgroup, files", [
+    (None, {}),
+    ("0::/\n", {"memory.max": "max\n", "memory.current": "5\n"}),
+    ("4:memory:/\n",
+     {"memory/memory.limit_in_bytes": "9223372036854771712\n",
+      "memory/memory.usage_in_bytes": "5\n"}),
+])
+def test_available_memory_is_none_where_nothing_is_known(tmp_path,
+                                                        monkeypatch, cgroup,
+                                                        files):
+    # no /proc/meminfo, and no cgroup file or a cgroup without a limit
+    _fake_proc(tmp_path, monkeypatch, None, cgroup, files)
+    assert data.available_memory() is None

@@ -141,7 +141,7 @@ def test_estimate_counts_degenerate_draws(dataset):
 
 
 def test_estimate_needs_two_samples():
-    tiny = data.Dataset(np.zeros((1, 16, 16, 1)), np.array([0]), 5, "target")
+    tiny = data.Dataset(np.zeros((1, 16, 16, 1)), np.array([0]), 5)
     with pytest.raises(ValueError):
         interp.estimate_IL(_affine_fn(), tiny, interp.ILConfig())
 

@@ -220,7 +220,7 @@ def test_smile_not_constant_teacher(pretrained, datasets):
 
 def test_train_rejects_empty_target(pretrained):
     empty = data.Dataset(np.zeros((0, 16, 16, 1)), np.zeros(0, dtype=int),
-                         5, "target")
+                         5)
     with pytest.raises(ValueError):
         train.train(pretrained, empty, None, _cfg(mode="FT"))
 
@@ -233,7 +233,7 @@ def test_train_requires_source_for_fc(pretrained, datasets):
 
 def test_pretrain_rejects_empty():
     empty = data.Dataset(np.zeros((0, 16, 16, 1)), np.zeros(0, dtype=int),
-                         20, "source")
+                         20)
     with pytest.raises(ValueError):
         train.pretrain_source(empty, train.PretrainConfig(iterations=5))
 
@@ -380,7 +380,7 @@ def test_pretrain_noise_free_source_is_learnable():
 
 def test_accuracy_rejects_empty(pretrained):
     empty = data.Dataset(np.zeros((0, 16, 16, 1)), np.zeros(0, dtype=int),
-                         5, "target")
+                         5)
     with pytest.raises(ValueError):
         train.accuracy(pretrained, empty)
 
