@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -32,8 +31,36 @@ class ExperimentConfig:
     output_dir: str = "out"
     seed: int = 0
 
+    def __post_init__(self):
+        # numpy takes no negative seed; the top-level one is also each
+        # section's default, so it is named before any section is built
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not 0 < self.subsample_rate <= 1:
+            raise ValueError("subsample_rate must be in (0, 1]")
+        for name, kind in (("output_dir", str), ("ablation_modes", list),
+                           ("ablation_seeds", list)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name}: expected {kind.__name__}, "
+                                 f"got {getattr(self, name)!r}")
+        for mode in self.ablation_modes:
+            if mode not in MODES:
+                raise ValueError(f"unknown ablation mode {mode!r}")
+        for seed in self.ablation_seeds:
+            if _coerce(seed, int, "ablation_seeds") < 0:
+                raise ValueError(f"ablation_seeds: {seed} is negative")
+        if not self.ablation_modes:
+            raise ValueError("ablation_modes must name at least one mode")
+        # a repeated mode trains its cells twice and a repeated seed reruns
+        # a cell bit for bit; either would count one run as two samples
+        for name in ("ablation_modes", "ablation_seeds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
 
-_SECTIONS = ("task", "pretrain", "train", "diagnostics")
+
+_SECTIONS = {"task": TaskSpec, "pretrain": PretrainConfig,
+             "train": TrainConfig, "diagnostics": ILConfig}
 
 
 # YAML 1.1 reads a float only with a dot and a signed exponent, so 1e-3
@@ -59,15 +86,22 @@ def _coerce(value, target_type, where: str):
     return value
 
 
-def _fill(target, values: dict, prefix: str = "") -> None:
-    """Set fields of a config dataclass, coercing scalar values."""
-    types = {f.name: f.type for f in fields(target)}
+def _build(cls, values: dict, section: str = ""):
+    """cls(**values), its scalar values coerced first. A key cls does not
+    declare, or a value its constructor refuses, is a ConfigError."""
+    prefix = f"{section}." if section else ""
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
     for key, val in values.items():
         if key not in types:
             raise ConfigError(f"unknown key {prefix}{key}")
         base = _SCALARS.get(types[key])
-        setattr(target, key,
-                _coerce(val, base, prefix + key) if base else val)
+        kwargs[key] = _coerce(val, base, prefix + key) if base else val
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {section}: {exc}" if section
+                          else str(exc)) from exc
 
 
 def _parse_yaml(text, where: str):
@@ -89,19 +123,19 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
 
 
 def build_config(raw: dict) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    for key in _SECTIONS:
+    """The top level, then each section, each built once by its own
+    constructor; a section's seed defaults to the top-level one."""
+    cfg = _build(ExperimentConfig,
+                 {k: v for k, v in raw.items() if k not in _SECTIONS})
+    for key, cls in _SECTIONS.items():
         values = raw.get(key, {})
         if not isinstance(values, dict):
             raise ConfigError(f"section {key} must be a mapping")
         if key == "diagnostics" and "layer" in values:
             raise ConfigError("diagnostics.layer is not a setting: "
                               "diagnose reports both layers")
-        if "seed" in raw:  # the top-level seed, unless the section sets one
-            values = {"seed": raw["seed"], **values}
-        _fill(getattr(cfg, key), values, f"{key}.")
-    _fill(cfg, {k: v for k, v in raw.items() if k not in _SECTIONS})
-    return _validate(cfg)
+        setattr(cfg, key, _build(cls, {"seed": cfg.seed, **values}, key))
+    return cfg
 
 
 def apply_overrides(raw: dict, overrides: List[str]) -> dict:
@@ -124,38 +158,3 @@ def apply_overrides(raw: dict, overrides: List[str]) -> dict:
         else:
             raise ConfigError(f"unknown config path {path!r}")
     return raw
-
-
-def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Re-run each section's __post_init__, then check the top-level fields."""
-    # numpy takes no negative seed; the top-level one is also each
-    # section's default, so it is named before any section is checked
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    for name in _SECTIONS:
-        try:
-            dataclasses.replace(getattr(cfg, name))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid {name}: {exc}") from exc
-    if not 0 < cfg.subsample_rate <= 1:
-        raise ConfigError("subsample_rate must be in (0, 1]")
-    for name, kind in (("output_dir", str), ("ablation_modes", list),
-                       ("ablation_seeds", list)):
-        if not isinstance(getattr(cfg, name), kind):
-            raise ConfigError(f"{name}: expected {kind.__name__}, "
-                              f"got {getattr(cfg, name)!r}")
-    for mode in cfg.ablation_modes:
-        if mode not in MODES:
-            raise ConfigError(f"unknown ablation mode {mode!r}")
-    for seed in cfg.ablation_seeds:
-        if _coerce(seed, int, "ablation_seeds") < 0:
-            raise ConfigError(f"ablation_seeds: {seed} is negative")
-    if not cfg.ablation_modes:
-        raise ConfigError("ablation_modes must name at least one mode")
-    # a repeated mode trains its cells twice and a repeated seed reruns a
-    # cell bit for bit; either would count one run as two samples
-    for name in ("ablation_modes", "ablation_seeds"):
-        values = getattr(cfg, name)
-        if len(set(values)) != len(values):
-            raise ConfigError(f"{name} repeats a value: {values}")
-    return cfg

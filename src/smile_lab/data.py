@@ -8,6 +8,7 @@ source classes, so the two domains are related but not identical.
 from __future__ import annotations
 
 import contextlib
+import csv
 import math
 import os
 import struct
@@ -58,6 +59,13 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, rows) -> None:
+    """Write ``rows``, the header first, through csv.writer: str() of each
+    value (a Python float's repr), minimal quoting, CRLF line ends."""
+    with atomic_write(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 @dataclass
@@ -192,20 +200,23 @@ def _read(path) -> str:
 
 
 def available_memory() -> int | None:
-    """The smaller of MemAvailable of /proc/meminfo and the limit minus the
-    usage of the process's memory cgroup (v2 or v1), in bytes; None where
-    neither is known. A limit of "max" (v2) or _V1_NO_LIMIT is none."""
+    """The smallest of MemAvailable of /proc/meminfo and the limit minus the
+    usage of the process's memory cgroup (v2 or v1) and of each cgroup
+    above it up to the controller's root, in bytes; None where none is
+    known. A limit of "max" (v2) or _V1_NO_LIMIT is none."""
     known = [int(line.split()[1]) * 1024 for line in
              _read(_MEMINFO).splitlines() if line.startswith("MemAvailable:")]
     for line in _read(_CGROUP).splitlines():
         _, controllers, path = line.split(":", 2)
         if controllers in _CGROUP_FILES:
-            limit, usage = (_read(Path(_CGROUP_ROOT, controllers,
-                                       path.lstrip("/"), name)).strip()
-                            for name in _CGROUP_FILES[controllers])
-            if limit.isdigit() and usage.isdigit() \
-                    and int(limit) < _V1_NO_LIMIT:
-                known.append(max(int(limit) - int(usage), 0))
+            own = Path(path.lstrip("/"))
+            for level in (own, *own.parents):
+                limit, usage = (_read(Path(_CGROUP_ROOT, controllers, level,
+                                           name)).strip()
+                                for name in _CGROUP_FILES[controllers])
+                if limit.isdigit() and usage.isdigit() \
+                        and int(limit) < _V1_NO_LIMIT:
+                    known.append(max(int(limit) - int(usage), 0))
     return min(known, default=None)
 
 
@@ -335,7 +346,7 @@ def export_csv(dataset: Dataset, path) -> None:
     whole-matrix list of Python floats is built.
     """
     with atomic_write(path, "w", newline="") as fh:
-        n_pixels = int(np.prod(dataset.inputs.shape[1:])) if len(dataset) else 0
+        n_pixels = math.prod(dataset.inputs.shape[1:])
         fh.write(",".join([f"p{i}" for i in range(n_pixels)] + ["label"])
                  + "\r\n")
         for x, y in zip(dataset.inputs.reshape(len(dataset), n_pixels),

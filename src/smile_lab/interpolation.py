@@ -8,17 +8,16 @@ normalized by the anchor-output distance.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, List, Sequence
 
 import numpy as np
 
 from . import model
-from .data import atomic_write
+from .data import write_csv
 
 TRAJECTORY_COEFFICIENTS = (0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -140,21 +139,21 @@ def model_output_fn(weights: model.ModelWeights, layer: str):
     as ``model.head_logits`` of this closure's output cost no second
     feature extraction.
     """
-    if layer == "feature":
-        cache = {}
+    if layer != "feature":
+        raise ValueError(f"unknown layer {layer!r}: logits are "
+                         "model.head_logits of the feature closure")
+    cache = {}
 
-        def features(x: np.ndarray) -> np.ndarray:
-            x = np.ascontiguousarray(x)
-            key = (x.shape, x.dtype.str, hashlib.sha256(x).digest())
-            if key not in cache:
-                feats = model.feature_extract(x, weights)
-                feats.setflags(write=False)
-                cache[key] = feats
-            return cache[key]
+    def features(x: np.ndarray) -> np.ndarray:
+        x = np.ascontiguousarray(x)
+        key = (x.shape, x.dtype.str, hashlib.sha256(x).digest())
+        if key not in cache:
+            feats = model.feature_extract(x, weights)
+            feats.setflags(write=False)
+            cache[key] = feats
+        return cache[key]
 
-        return features
-    return lambda x: model.head_logits(model.feature_extract(x, weights),
-                                       weights)
+    return features
 
 
 def pca_2d(points: np.ndarray):
@@ -207,8 +206,4 @@ def feature_interp_trajectory(
 
 
 def write_trajectory_csv(rows: List[TrajectoryPoint], path) -> None:
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair_id", "lambda", "x", "y"])
-        for r in rows:
-            writer.writerow([r.pair_id, r.lam, repr(r.x), repr(r.y)])
+    write_csv(path, [["pair_id", "lambda", "x", "y"], *map(astuple, rows)])

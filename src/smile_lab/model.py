@@ -6,6 +6,7 @@ Tensors when gradients are needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, field, fields
 from typing import Dict
 
@@ -72,37 +73,26 @@ class ModelWeights:
         return "tgt_w" in self.params
 
 
-def _head_init(rng: np.random.Generator, d: int, n_classes: int):
-    bound = 1.0 / np.sqrt(d)
-    w = rng.uniform(-bound, bound, size=(d, n_classes))
-    b = rng.uniform(-bound, bound, size=(n_classes,))
-    return w, b
+def _init_param(rng: np.random.Generator, name: str, shape: tuple,
+                feature_dim: int) -> np.ndarray:
+    """Head parameters uniform in [-1/sqrt(d), 1/sqrt(d)], other biases
+    zero, kernels and proj_w He-normal with fan-in prod(shape[:-1])."""
+    if name.startswith(("src_", "tgt_")):
+        bound = 1.0 / np.sqrt(feature_dim)
+        return rng.uniform(-bound, bound, size=shape)
+    if name.endswith("_b"):
+        return np.zeros(shape)
+    return rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[:-1])), size=shape)
 
 
 def init_weights(arch: Architecture, seed: int,
                  with_target_head: bool = False) -> ModelWeights:
-    """He-style init for conv/dense, uniform [-1/sqrt(d), 1/sqrt(d)] heads."""
+    """Every parameter of arch.param_shapes(), drawn in its order."""
     rng = np.random.default_rng(seed)
-    k = arch.kernel_size
-    params: Dict[str, np.ndarray] = {}
-    fan1 = k * k * arch.channels
-    params["conv1_k"] = rng.normal(
-        0.0, np.sqrt(2.0 / fan1), size=(k, k, arch.channels, arch.conv1_filters))
-    params["conv1_b"] = np.zeros(arch.conv1_filters)
-    fan2 = k * k * arch.conv1_filters
-    params["conv2_k"] = rng.normal(
-        0.0, np.sqrt(2.0 / fan2), size=(k, k, arch.conv1_filters, arch.conv2_filters))
-    params["conv2_b"] = np.zeros(arch.conv2_filters)
-    params["proj_w"] = rng.normal(
-        0.0, np.sqrt(2.0 / arch.conv2_filters),
-        size=(arch.conv2_filters, arch.feature_dim))
-    params["proj_b"] = np.zeros(arch.feature_dim)
-    params["src_w"], params["src_b"] = _head_init(
-        rng, arch.feature_dim, arch.n_source_classes)
-    if with_target_head:
-        params["tgt_w"], params["tgt_b"] = _head_init(
-            rng, arch.feature_dim, arch.n_target_classes)
-    return ModelWeights(arch, params)
+    return ModelWeights(arch, {
+        name: _init_param(rng, name, shape, arch.feature_dim)
+        for name, shape in arch.param_shapes().items()
+        if with_target_head or not name.startswith("tgt_")})
 
 
 def as_tensors(weights: ModelWeights) -> Dict[str, T.Tensor]:
@@ -157,8 +147,10 @@ def init_from_pretrained(pretrained: ModelWeights, seed: int):
          for k in FE_PARAMS + SRC_HEAD_PARAMS})
     student = teacher.copy()
     rng = np.random.default_rng(seed)
-    student.params["tgt_w"], student.params["tgt_b"] = _head_init(
-        rng, pretrained.arch.feature_dim, pretrained.arch.n_target_classes)
+    shapes = pretrained.arch.param_shapes()
+    for name in ("tgt_w", "tgt_b"):
+        student.params[name] = _init_param(rng, name, shapes[name],
+                                           pretrained.arch.feature_dim)
     return student, teacher
 
 

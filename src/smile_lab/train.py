@@ -3,19 +3,16 @@
 from __future__ import annotations
 
 import contextlib
-import csv
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import Callable, Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from . import model, tensor as T
-from .data import Dataset, atomic_write
+from . import data, model, tensor as T
+from .data import Dataset
 from .losses import LossBreakdown, LossWeights, mixed_ce, total_objective
 from .mixup import mix, pair_batch, sample_lambda
-
-MODES = ("FT", "D-SMILE", "M-FE", "M-FC", "SMILE", "SMILE-noS", "SMILE-noT")
 
 # Per-mode effective settings: (use_mixup, use_fe_term, use_fc_term, teacher)
 _MODE_TABLE = {
@@ -27,6 +24,7 @@ _MODE_TABLE = {
     "SMILE-noS": (True,  True,  True,  "latest"),
     "SMILE-noT": (True,  True,  True,  "fixed"),
 }
+MODES = tuple(_MODE_TABLE)
 
 
 class TrainingDiverged(RuntimeError):
@@ -119,15 +117,13 @@ class Metrics:
 
     def write_csv(self, path) -> None:
         columns = ["iteration", "lr", *(f.name for f in fields(LossBreakdown))]
+        accs = ["train_acc", "test_acc"]
         eval_by_iter = {r["iteration"]: r for r in self.eval_rows}
-        with atomic_write(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns + ["train_acc", "test_acc"])
-            for row in self.loss_rows:
-                ev = eval_by_iter.get(row["iteration"], {})
-                writer.writerow([repr(row[c]) for c in columns]
-                                + [ev.get("train_acc", ""),
-                                   ev.get("test_acc", "")])
+        rows = [columns + accs]
+        for row in self.loss_rows:
+            ev = eval_by_iter.get(row["iteration"], {})
+            rows.append([row[c] for c in columns] + [ev.get(a, "") for a in accs])
+        data.write_csv(path, rows)
 
 
 # The training batch size: larger chunks (36 MiB of conv2 im2col at 256
@@ -383,12 +379,6 @@ def run_ablation_suite(pretrained: model.ModelWeights, target_train: Dataset,
 
 
 def write_ablation_csv(rows: List[AblationRow], summary: dict, path) -> None:
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "seed", "test_accuracy"])
-        for r in rows:
-            writer.writerow([r.mode, r.seed, repr(r.test_accuracy)])
-        writer.writerow([])
-        writer.writerow(["mode", "mean", "std"])
-        for mode, (m, s) in summary.items():
-            writer.writerow([mode, repr(m), repr(s)])
+    data.write_csv(path, [["mode", "seed", "test_accuracy"],
+                          *map(astuple, rows), [], ["mode", "mean", "std"],
+                          *([mode, *stats] for mode, stats in summary.items())])

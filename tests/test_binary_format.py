@@ -1,7 +1,8 @@
-"""Only data.py reads or writes binary files: no other module of
-src/smile_lab imports struct or calls numpy's frombuffer. Datasets and
-checkpoints so keep one format, with one writer (data.save_arrays) and one
-loader (data.load_arrays) that owns every malformed-file check.
+"""Only data.py encodes the lab's files: no other module of src/smile_lab
+imports struct or csv, or calls numpy's frombuffer. Datasets and
+checkpoints so keep one binary format, with one writer (data.save_arrays)
+and one loader (data.load_arrays) that owns every malformed-file check, and
+every CSV artifact goes through one writer (data.write_csv).
 """
 
 import ast
@@ -11,20 +12,22 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "smile_lab"
 OWNER = "data.py"
+ENCODERS = ("struct", "csv")   # modules only OWNER imports
 
 
 def _binary_uses(source: str) -> list:
-    """Each import of struct and each use of frombuffer in ``source``, as
-    "line: what"."""
+    """Each import of an ENCODERS module and each use of frombuffer in
+    ``source``, as "line: what"."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [f"{node.lineno}: import {alias.name}"
                       for alias in node.names
-                      if alias.name.split(".")[0] == "struct"]
+                      if alias.name.split(".")[0] in ENCODERS]
         elif isinstance(node, ast.ImportFrom):
-            if (node.module or "").split(".")[0] == "struct":
-                found.append(f"{node.lineno}: from struct import")
+            module = (node.module or "").split(".")[0]
+            if module in ENCODERS:
+                found.append(f"{node.lineno}: from {module} import")
             found += [f"{node.lineno}: import frombuffer"
                       for alias in node.names if alias.name == "frombuffer"]
         elif isinstance(node, ast.Attribute) and node.attr == "frombuffer":
@@ -44,6 +47,7 @@ def test_only_data_reads_and_writes_binary():
 def test_the_rule_sees_the_format_where_it_is():
     uses = _binary_uses((PACKAGE / OWNER).read_text(encoding="utf-8"))
     assert any(use.endswith("import struct") for use in uses)
+    assert any(use.endswith("import csv") for use in uses)
     assert any(use.endswith(".frombuffer") for use in uses)
 
 
@@ -54,6 +58,8 @@ def test_the_rule_sees_the_format_where_it_is():
     ("import numpy as np\nx = np.frombuffer(b'', 'u1')\n", ["2: .frombuffer"]),
     ("from numpy import frombuffer\n", ["1: import frombuffer"]),
     ("import numpy as np\nx = np.fromfile\ny = 'struct'\n", []),
+    ("import io\nfrom csv import writer\nimport csv\n",
+     ["2: from csv import", "3: import csv"]),
 ])
 def test_binary_uses_on_small_sources(source, expected):
     assert _binary_uses(source) == expected

@@ -313,7 +313,7 @@ def _csv_writer_reference(dataset, path):
     import csv
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        n_pixels = int(np.prod(dataset.inputs.shape[1:])) if len(dataset) else 0
+        n_pixels = int(np.prod(dataset.inputs.shape[1:]))
         writer.writerow([f"p{i}" for i in range(n_pixels)] + ["label"])
         for x, y in zip(dataset.inputs, dataset.labels):
             writer.writerow(list(x.reshape(-1)) + [int(y)])
@@ -367,6 +367,16 @@ def _fake_proc(tmp_path, monkeypatch, meminfo, cgroup, files):
                       "memory/memory.usage_in_bytes": "5000\n"}, 0),
     # a cgroup whose files cannot be read counts as no limit
     ("0::/gone\n", {}, 8192_000),
+    # a parent cgroup's lower limit bounds its children (v2, then v1)
+    ("0::/box/job\n", {"box/memory.max": "1000000\n",
+                       "box/memory.current": "700000\n",
+                       "box/job/memory.max": "max\n",
+                       "box/job/memory.current": "200000\n"}, 300_000),
+    ("4:memory:/box/job\n",
+     {"memory/memory.limit_in_bytes": "5000\n",
+      "memory/memory.usage_in_bytes": "4000\n",
+      "memory/box/job/memory.limit_in_bytes": "3000\n",
+      "memory/box/job/memory.usage_in_bytes": "1000\n"}, 1000),
 ])
 def test_available_memory_honours_the_memory_cgroup(tmp_path, monkeypatch,
                                                     cgroup, files, expected):

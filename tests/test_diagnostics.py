@@ -146,14 +146,23 @@ def test_estimate_needs_two_samples():
         interp.estimate_IL(_affine_fn(), tiny, interp.ILConfig())
 
 
+def _label_fn(weights):
+    # logits as diagnose takes them: the head of the feature closure
+    features = interp.model_output_fn(weights, "feature")
+    return lambda x: model.head_logits(features(x), weights)
+
+
 def test_model_output_fn_layers(dataset):
     weights = model.init_weights(model.Architecture(), seed=0,
                                  with_target_head=True)
     x = dataset.inputs[:3]
     assert interp.model_output_fn(weights, "feature")(x).shape == (3, 32)
-    assert interp.model_output_fn(weights, "label")(x).shape == (3, 5)
+    assert _label_fn(weights)(x).shape == (3, 5)
     _, teacher = model.init_from_pretrained(weights, seed=0)
-    assert interp.model_output_fn(teacher, "label")(x).shape == (3, 20)
+    assert _label_fn(teacher)(x).shape == (3, 20)
+    # logits are the head of the features, not a layer of their own
+    with pytest.raises(ValueError, match="label"):
+        interp.model_output_fn(weights, "label")
 
 
 def test_pca_oracle_known_points():
@@ -277,7 +286,7 @@ _WEIGHTS = model.init_weights(model.Architecture(), seed=3,
 
 
 @pytest.mark.parametrize("fn, cfg", [
-    (interp.model_output_fn(_WEIGHTS, "label"),
+    (_label_fn(_WEIGHTS),
      interp.ILConfig(n_pairs=15, seed=1)),
     (interp.model_output_fn(_WEIGHTS, "feature"),
      interp.ILConfig(layer="feature", n_pairs=15, seed=2)),

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -449,3 +450,16 @@ def test_metrics_csv_round_trip(tmp_path, pretrained, datasets):
     # full-precision floats survive the round trip
     total_col = header.index("total")
     assert float(lines[1].split(",")[total_col]) == metrics.loss_rows[0]["total"]
+
+
+def test_metrics_csv_writes_numpy_floats_as_decimals(tmp_path):
+    # repr(np.float64(7.4)) is 'np.float64(7.4)' under numpy 2; the CSV
+    # holds the number a reader parses back
+    columns = ["iteration", "lr",
+               *(f.name for f in fields(losses.LossBreakdown))]
+    row = {name: np.float64(7.4) for name in columns}
+    metrics = train.Metrics([{**row, "iteration": 1}],
+                            [{"iteration": 1, "train_acc": np.float64(0.5)}])
+    metrics.write_csv(tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_bytes().split(b"\r\n")[1] == \
+        b",".join([b"1"] + [b"7.4"] * (len(columns) - 1) + [b"0.5", b""])
