@@ -5,9 +5,9 @@ Runs gen-data --csv, pretrain, train for every fine-tuning mode and for the
 SMILE variants in ``VARIANTS``, ablate and diagnose through the CLI in a
 temporary directory, then prints one ``<sha256>  <artifact>`` line for the
 four dataset CSVs, pretrained.ckpt, every student_*.ckpt and metrics_*.csv,
-ablation_summary.csv and il_report.json. Two source trees that give the
-same lines compute the same bytes; a refactor that claims to change no
-arithmetic shows it by comparing this output before and after:
+ablation_summary.csv, il_report.json and pca_traj.csv. Two source trees
+that give the same lines compute the same bytes; a refactor that claims to
+change no arithmetic shows it by comparing this output before and after:
 
     PYTHONPATH=src python3 scripts/golden_digests.py > after.txt
     PYTHONPATH=<checkout>/src python3 scripts/golden_digests.py > before.txt
@@ -120,7 +120,7 @@ def artifact_digests() -> dict:
             _run(["ablate"])
             _run(["diagnose", "train.mode=SMILE"])
             artifacts = [out / "pretrained.ckpt", out / "il_report.json",
-                         out / "ablation_summary.csv"]
+                         out / "pca_traj.csv", out / "ablation_summary.csv"]
             artifacts += out.glob("student_*.ckpt")
             artifacts += out.glob("metrics_*.csv")
             artifacts += [out / f"{name}.csv" for name in cli.DATASETS]

@@ -126,33 +126,15 @@ class Metrics:
         data.write_csv(path, rows)
 
 
-# The training batch size: larger chunks (36 MiB of conv2 im2col at 256
-# rows) made evaluation set the process's peak memory. A row's logits do
-# not depend on the other rows of a chunk of >= 2 rows, but a 1-row chunk
-# goes through GEMV and can differ in the last bit; so the 1-row tail of a
-# set of 32k + 1 rows joins the chunk before it.
-_EVAL_CHUNK = 32
-
-
-def _eval_chunks(n: int) -> List[slice]:
-    starts = list(range(0, n, _EVAL_CHUNK))
-    if n > 1 and n % _EVAL_CHUNK == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
 def accuracy(weights: model.ModelWeights, dataset: Dataset) -> float:
     """Accuracy of the target head, or of the source head of a pretrained
-    model (which has no target head)."""
+    model (no target head); model.feature_extract chunks the set."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    correct = 0
-    for rows in _eval_chunks(len(dataset)):
-        x, y = dataset.inputs[rows], dataset.labels[rows]
-        logits = model.head_logits(model.feature_extract(x, weights), weights)
-        T.check_finite(logits, "evaluation logits")
-        correct += int((logits.argmax(axis=1) == y).sum())
-    return correct / len(dataset)
+    logits = model.head_logits(model.feature_extract(dataset.inputs, weights),
+                               weights)
+    T.check_finite(logits, "evaluation logits")
+    return float((logits.argmax(axis=1) == dataset.labels).mean())
 
 
 def _sample_batch(dataset: Dataset, batch_size: int,

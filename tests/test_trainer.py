@@ -403,20 +403,35 @@ def test_eval_logits_do_not_depend_on_batch_rows(pretrained, datasets):
         np.mean(whole.argmax(axis=1) == src.labels)
 
 
-def test_eval_chunks_match_whole_set_logits(pretrained, datasets):
+def test_eval_chunks_match_whole_set_logits(pretrained, datasets,
+                                            monkeypatch):
+    """model.feature_extract runs a batch 32 rows at a time and never runs
+    a 1-row chunk, which would go through GEMV; the batch sizes that
+    tensor.conv_layer receives show its chunks."""
     src, _, _ = datasets
+    sizes = []
+    conv_layer = T.conv_layer
 
-    def logits(x):
-        return model.head_logits(model.feature_extract(x, pretrained),
-                                 pretrained)
+    def recording(x, kernel, bias):
+        sizes.append(len(x))
+        return conv_layer(x, kernel, bias)
 
-    # 33 and 65 rows would end in a 1-row chunk, which goes through GEMV
+    monkeypatch.setattr(T, "conv_layer", recording)
+    # 33 and 65 rows end in a 1-row tail, which joins the chunk before it
     for n in range(2, 71):
-        chunks = train._eval_chunks(n)
-        assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
-        assert chunks[0].start == 0 and chunks[-1].stop == n
-        chunked = np.concatenate([logits(src.inputs[c]) for c in chunks])
-        assert np.array_equal(logits(src.inputs[:n]), chunked), n
+        sizes.clear()
+        x = src.inputs[:n]
+        feats = model.feature_extract(x, pretrained)
+        # both conv layers see the same chunks, of 2 to 33 rows
+        assert sizes[::2] == sizes[1::2] and sum(sizes[::2]) == n, sizes
+        assert min(sizes) >= 2 and max(sizes) <= 33, (n, sizes)
+        # separate calls on 32-row slices; a 1-row slice goes through GEMV,
+        # so its row is taken from a 2-row call
+        slices = [x[s:s + 32] for s in range(0, n, 32)]
+        ref = [model.feature_extract(rows, pretrained) for rows in slices]
+        if len(slices[-1]) == 1:
+            ref[-1] = model.feature_extract(x[n - 2:], pretrained)[1:]
+        assert np.array_equal(feats, np.concatenate(ref)), n
 
 
 def test_ablation_suite_shape(pretrained, datasets):
