@@ -7,42 +7,9 @@ for every forward pass; nothing is retained between training iterations.
 
 from __future__ import annotations
 
-import ctypes
 from typing import Callable, Dict, Sequence
 
 import numpy as np
-
-
-def _keep_freed_heap() -> None:
-    """Make glibc keep a freed training graph for the next step's graph.
-
-    Each training step allocates tens of MiB of activations, gradients and
-    im2col matrices and frees them all when it returns. With glibc's
-    defaults, blocks of a few MiB are mmapped and unmapped, and a free top
-    of the heap is given back to the kernel, so every step faults the same
-    pages in again (over 2000 minor faults and about 5 ms of system time
-    per pretraining step on a 2-vCPU x86 host). Blocks below 32 MiB (the
-    largest mmap threshold glibc accepts on 64-bit) now come from the
-    heap, and the heap is trimmed only when 128 MiB at its top are free.
-    Other C libraries are left as they are.
-    """
-    try:
-        libc = ctypes.CDLL(None)
-    except (OSError, TypeError):
-        return
-    if not hasattr(libc, "gnu_get_libc_version"):
-        return
-    mallopt = libc.mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3     # from <malloc.h>
-    for param, value in ((m_mmap_threshold, 32 << 20),
-                         (m_trim_threshold, 128 << 20)):
-        if mallopt(param, value) != 1:
-            raise OSError(f"glibc mallopt({param}, {value}) failed")
-
-
-_keep_freed_heap()
 
 
 class NonFiniteError(FloatingPointError):
@@ -50,12 +17,7 @@ class NonFiniteError(FloatingPointError):
 
 
 def check_finite(values: np.ndarray, context: str) -> None:
-    # a NaN or Inf element makes sum() non-finite (inf+inf stays inf,
-    # inf-inf -> nan), so a finite sum clears the array; a non-finite sum
-    # can also be an overflow of finite values, so the elements decide
-    with np.errstate(over="ignore", invalid="ignore"):   # no warning
-        total = values.sum()
-    if not np.isfinite(total) and not np.isfinite(values).all():
+    if not np.isfinite(values).all():
         raise NonFiniteError(f"non-finite values in {context}")
 
 

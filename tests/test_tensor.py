@@ -344,8 +344,8 @@ def test_non_finite_raises():
 
 
 def test_finite_check_does_not_warn():
-    # outside any np.errstate: the check's own sum overflows (finite
-    # values) or is inf - inf, and neither may surface as a numpy warning
+    # outside any np.errstate: finite values whose sum overflows, and inf
+    # with -inf, whose sum is nan; neither may surface as a numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         T.Tensor(np.full(2, -1.5e308))

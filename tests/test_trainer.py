@@ -340,35 +340,59 @@ def test_one_student_pass_is_alive_at_a_time(pretrained, datasets):
     assert smile <= 1.10 * ft, (ft, smile)
 
 
-# Minor page faults per pretraining step in a fresh interpreter, over 50
+# Minor page faults per training step in a fresh interpreter, over 50
 # steps after 20 warm-up steps; each mark is taken at a step's SGD update.
+# The script's argument is "pretrain" or the fine-tuning mode to measure,
+# which starts from 20 pretraining steps.
 _FAULTS_PER_STEP = """
-import resource
+import resource, sys
 from smile_lab import data, tensor as T, train
 marks, sgd_step = [], T.sgd_step
 def marking_sgd_step(*args):
     marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
     sgd_step(*args)
-T.sgd_step = marking_sgd_step
-src = data.generate_source(data.TaskSpec(samples_per_class=8, seed=0))
-train.pretrain_source(src, train.PretrainConfig(iterations=71, seed=0))
+spec = data.TaskSpec(samples_per_class=8, seed=0)
+src = data.generate_source(spec)
+if sys.argv[1] == "pretrain":
+    T.sgd_step = marking_sgd_step
+    train.pretrain_source(src, train.PretrainConfig(iterations=71, seed=0))
+else:
+    weights = train.pretrain_source(
+        src, train.PretrainConfig(iterations=20, seed=0))
+    T.sgd_step = marking_sgd_step
+    train.train(weights, data.derive_target(spec), src, train.TrainConfig(
+        mode=sys.argv[1], seed=0, iterations=71, eval_every=0))
 print((marks[70] - marks[20]) / 50)
 """
 
-
-@pytest.mark.skipif(
+# glibc's default dynamic mmap threshold lets each step reuse the blocks
+# that the step before it freed
+_glibc_only = pytest.mark.skipif(
     not sys.platform.startswith("linux")
     or not hasattr(ctypes.CDLL(None), "gnu_get_libc_version"),
-    reason="the heap policy is set through glibc's mallopt")
-def test_pretraining_steps_reuse_the_heap():
+    reason="the fault counts are those of glibc's allocator")
+
+
+def _faults_per_step(phase: str) -> float:
     src = str(Path(smile_lab.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP],
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP, phase],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert float(proc.stdout) < 20
+    return float(proc.stdout)
+
+
+@_glibc_only
+def test_pretraining_steps_reuse_the_heap():
+    assert _faults_per_step("pretrain") < 20
+
+
+@_glibc_only
+def test_smile_steps_reuse_the_heap():
+    # three student passes and a teacher call per step, at batch 32
+    assert _faults_per_step("SMILE") < 20
 
 
 def test_pretrain_noise_free_source_is_learnable():
