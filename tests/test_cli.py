@@ -194,6 +194,35 @@ def test_ablate_summary(workdir):
     assert "FT" in stdout and "D-SMILE" in stdout
 
 
+def test_rate_sweep_reuses_one_pretraining(workdir, tmp_path):
+    # the README's rate sweep: gen-data at another rate rewrites
+    # source_train.bin with the same bytes and leaves pretrained.ckpt alone,
+    # so one pretraining serves every rate's ablate
+    out, run = workdir
+    assert run("gen-data")[0] == 0 and run("pretrain")[0] == 0
+    kept = {name: (out / name).read_bytes()
+            for name in ("source_train.bin", "pretrained.ckpt")}
+    cfg = load_config(tmp_path / "exp.yaml")
+    source = data.generate_source(cfg.task)
+    target_full = data.derive_target(cfg.task)
+    target_test = data.test_split(cfg.task, "target")
+    pretrained = train.pretrain_source(source, cfg.pretrain)
+    for rate in (0.3, 1.0):
+        assert run("gen-data", f"subsample_rate={rate}")[0] == 0
+        assert run("ablate")[0] == 0
+        assert {name: (out / name).read_bytes() for name in kept} == kept
+        lines = (out / "ablation_summary.csv").read_text().splitlines()
+        means = {mode: float(mean) for mode, mean, _ in (
+            line.split(",")
+            for line in lines[lines.index("mode,mean,std") + 1:])}
+        target_train = data.stratified_subsample(target_full, rate,
+                                                 cfg.task.seed)
+        _, summary = train.run_ablation_suite(
+            pretrained, target_train, target_test, source, cfg.train,
+            cfg.ablation_modes, cfg.ablation_seeds)
+        assert means == {mode: mean for mode, (mean, _) in summary.items()}
+
+
 def test_diagnose_affine_stub(workdir):
     out, run = workdir
     run("gen-data")
@@ -471,6 +500,12 @@ def _initial_weights(name, update):
                  "ConfigError", id="pretrain-without-iterations"),
     pytest.param({}, ["gen-data", "train.gamma_fe=-1.0"], "ConfigError",
                  id="negative-loss-weight"),
+    # lr / lr_drop_factor underflows to 0, the rate after the drop
+    pytest.param({}, ["gen-data", "train.lr=5e-324"], "ConfigError",
+                 id="rate-after-the-drop-underflows"),
+    pytest.param({}, ["gen-data", "train.lr=1e-300",
+                      "train.lr_drop_factor=1e300"], "ConfigError",
+                 id="drop-factor-underflows-the-rate"),
     pytest.param({"out": "data", "out/il_report.json": b"{}"}, ["report"],
                  "ValueError", id="report-reads-an-empty-IL-report"),
     pytest.param({"out": "data", "out/il_report.json": b"[1, 2]"},
