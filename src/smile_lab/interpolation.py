@@ -16,8 +16,8 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from . import model
-from .data import write_csv
+from . import data, model
+from .mixup import mix_rows
 
 TRAJECTORY_COEFFICIENTS = (0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -25,6 +25,10 @@ TRAJECTORY_COEFFICIENTS = (0.6, 0.7, 0.8, 0.9, 1.0)
 class AllDrawsDegenerate(ValueError):
     """Every sampled draw had anchor outputs closer than ``denom_epsilon``,
     so no distance ratio is defined."""
+
+
+class ILTooLarge(ValueError):
+    """The draws of an estimate would need more memory than is available."""
 
 
 class NonFiniteIL(ValueError):
@@ -64,18 +68,15 @@ class ILReport:
     config: ILConfig
 
 
-def _mix_rows(x_a: np.ndarray, x_b: np.ndarray, coefs) -> np.ndarray:
-    """np.stack([mix(x_a, x_b, c) for c in coefs]) in one broadcast: the
-    same bytes, 40-50 ms less over the two diagnose runs of a pipeline."""
-    c = np.array(coefs).reshape((-1,) + (1,) * x_a.ndim)
-    batch = (1.0 - c) * x_a + c * x_b
-    # mix copies an endpoint input, which keeps the sign of a zero pixel
-    for row, coef in enumerate(coefs):
-        if coef == 0.0:
-            batch[row] = x_a
-        elif coef == 1.0:
-            batch[row] = x_b
-    return batch
+def il_bytes(config: ILConfig, image_size: int) -> int:
+    """A bound on the memory estimate_IL takes at its peak, besides the
+    model's own: a draw's batch of 2 + n_lambda_draws mixed images with the
+    two products it is summed from and its coefficients (two Python floats
+    and a float64 a row), and every distance ratio, a Python float in a
+    growing list and a float64 in its array and in std's deviations."""
+    rows = 2 + config.n_lambda_draws
+    n_ratios = config.n_pairs * config.n_delta_draws * config.n_lambda_draws
+    return rows * (3 * 8 * image_size + 72) + 56 * n_ratios
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -95,6 +96,12 @@ def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
     n = len(dataset)
     if n < 2:
         raise ValueError("need at least two samples")
+    # gen-data's memory rule, before the first draw
+    need = il_bytes(config, dataset.inputs[0].size)
+    have = data.available_memory()
+    if have is not None and need > have:
+        raise ILTooLarge(f"the IL draws need about {need / 2**30:.3g} GiB, "
+                         f"{have / 2**30:.3g} GiB are available")
     ratios: List[float] = []
     n_degenerate = 0
     for _ in range(config.n_pairs):
@@ -107,7 +114,7 @@ def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
             lams = [float(rng.uniform(0.0, 1.0))
                     for _ in range(config.n_lambda_draws)]
             coefs = [d1, d2] + [lam * d1 + (1.0 - lam) * d2 for lam in lams]
-            outs = np.asarray(model_fn(_mix_rows(x_a, x_b, coefs)),
+            outs = np.asarray(model_fn(mix_rows(x_a, x_b, coefs)),
                               dtype=np.float64)
             y1, y2 = outs[0], outs[1]
             # ||y_it - (lam*y1 + (1-lam)*y2)|| / ||y1 - y2||; anchors closer
@@ -196,7 +203,7 @@ def feature_interp_trajectory(
     (pair, coefficient of TRAJECTORY_COEFFICIENTS)."""
     if len(image_pairs) < 1:
         raise ValueError("need at least one image pair")
-    batch = np.concatenate([_mix_rows(a, b, TRAJECTORY_COEFFICIENTS)
+    batch = np.concatenate([mix_rows(a, b, TRAJECTORY_COEFFICIENTS)
                             for a, b in image_pairs])
     projected, explained = pca_2d(feature_fn(batch))
     points = itertools.product(range(len(image_pairs)),
@@ -207,4 +214,5 @@ def feature_interp_trajectory(
 
 
 def write_trajectory_csv(rows: List[TrajectoryPoint], path) -> None:
-    write_csv(path, [["pair_id", "lambda", "x", "y"], *map(astuple, rows)])
+    data.write_csv(path,
+                   [["pair_id", "lambda", "x", "y"], *map(astuple, rows)])

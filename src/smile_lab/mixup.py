@@ -1,4 +1,4 @@
-"""The mix operator, Beta coefficient sampling, and batch pairing.
+"""The mix rule, Beta coefficient sampling, and batch pairing.
 
 Convention: mix(u, v, lam) = (1 - lam) * u + lam * v, so lam = 0 returns u.
 """
@@ -11,17 +11,25 @@ import numpy as np
 
 
 def mix(u: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
+    return mix_rows(u, v, [lam])[0]
+
+
+def mix_rows(u: np.ndarray, v: np.ndarray, lams) -> np.ndarray:
+    """Row r is (1 - lams[r]) * u + lams[r] * v, all rows in one broadcast;
+    at 0 and 1 it is a copy of the endpoint, which keeps a zero's sign."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"mix shape mismatch: {u.shape} vs {v.shape}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda out of range: {lam}")
-    if lam == 0.0:
-        return u.copy()
-    if lam == 1.0:
-        return v.copy()
-    return (1.0 - lam) * u + lam * v
+    for lam in lams:
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"lambda out of range: {lam}")
+    c = np.array(lams, dtype=np.float64).reshape((-1,) + (1,) * u.ndim)
+    rows = (1.0 - c) * u + c * v
+    for row, lam in enumerate(lams):
+        if lam in (0.0, 1.0):
+            rows[row] = v if lam else u
+    return rows
 
 
 def sample_lambda(alpha: float, rng: np.random.Generator) -> float:

@@ -90,9 +90,10 @@ class TrainConfig:
             raise ValueError("grad_clip must be >= 0")
         if not self.lr_drop_factor > 0:
             raise ValueError("lr_drop_factor must be > 0")
-        # learning_rate_at's rate after the drop, which sgd_step refuses at 0
-        if not self.lr / self.lr_drop_factor > 0:
-            raise ValueError("lr / lr_drop_factor must be > 0")
+        # learning_rate_at's rate after the drop: sgd_step refuses it at 0,
+        # and at inf the first step after the drop diverges
+        if not 0 < self.lr / self.lr_drop_factor < math.inf:
+            raise ValueError("lr / lr_drop_factor must be > 0 and finite")
         if not self.lr_drop_fraction >= 0:
             raise ValueError("lr_drop_fraction must be >= 0")
         if self.eval_every < 0:

@@ -1,8 +1,10 @@
 """Only data.py encodes the lab's files: no other module of src/smile_lab
 imports struct or csv, or calls numpy's frombuffer. Datasets and
 checkpoints so keep one binary format, with one writer (data.save_arrays)
-and one loader (data.load_arrays) that owns every malformed-file check, and
-every CSV artifact goes through one writer (data.write_csv).
+and one loader (data.load_arrays) that owns every malformed-file check. The
+metrics, ablation and trajectory CSVs go through one writer
+(data.write_csv); the dataset CSVs are joined a row at a time by
+data.export_csv.
 """
 
 import ast

@@ -506,6 +506,12 @@ def _initial_weights(name, update):
     pytest.param({}, ["gen-data", "train.lr=1e-300",
                       "train.lr_drop_factor=1e300"], "ConfigError",
                  id="drop-factor-underflows-the-rate"),
+    # lr / lr_drop_factor overflows to inf, the rate after the drop
+    pytest.param({}, ["gen-data", "train.lr_drop_factor=5e-324"],
+                 "ConfigError", id="drop-factor-overflows-the-rate"),
+    pytest.param({}, ["gen-data", "train.lr=1e300",
+                      "train.lr_drop_factor=1e-300"], "ConfigError",
+                 id="rate-after-the-drop-overflows"),
     pytest.param({"out": "data", "out/il_report.json": b"{}"}, ["report"],
                  "ValueError", id="report-reads-an-empty-IL-report"),
     pytest.param({"out": "data", "out/il_report.json": b"[1, 2]"},
@@ -589,8 +595,9 @@ def test_cli_errors_are_one_json_line(generated, tmp_path, monkeypatch, capsys,
 # field is covered without a change here. Only 0, 1 and -1 are valid ints,
 # so no drawn example grows a task, a batch or an iteration count past the
 # small base config: each allocates at most a few MB. The explicit large
-# ints are a batch, which is capped at its dataset, and a task, which
-# gen-data refuses before it allocates anything.
+# ints are a batch, which is capped at its dataset, a task, which gen-data
+# refuses before it allocates anything, and an IL draw count, which
+# diagnose refuses before its first draw.
 
 # 5e-324 is the smallest positive float
 BOUNDARY = ("0", "1", "-1", "5e-324", "1e300")
@@ -681,6 +688,7 @@ def _chain_errors(drawn):
 @example(drawn=["train.batch_size=1000000"])
 @example(drawn=["pretrain.batch_size=1000000"])
 @example(drawn=["task.samples_per_class=1000000000"])
+@example(drawn=["diagnostics.n_lambda_draws=1000000000"])
 def test_chain_exits_0_or_1_with_one_json_line(drawn):
     _chain_errors(drawn)
 
@@ -691,6 +699,10 @@ def test_chain_exits_0_or_1_with_one_json_line(drawn):
     # every later step misses the datasets, and report every artifact
     ("task.samples_per_class=1000000000",
      ["TaskTooLarge"] + ["FileNotFoundError"] * (len(CHAIN) - 1)),
+    # both diagnose steps refuse the IL draws before the first, so no
+    # il_report.json is written; report reads the training artifacts
+    ("diagnostics.n_lambda_draws=1000000000",
+     [None] * 4 + ["ILTooLarge"] * 2 + [None]),
 ])
 def test_large_valid_ints_run_or_are_refused_first(override, errors):
     assert _chain_errors([override]) == errors

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -315,13 +317,31 @@ def test_constant_model_matches_per_row_loop(dataset):
     assert rng_b.bit_generator.state == rng_a.bit_generator.state
 
 
-def test_mix_rows_keeps_endpoint_bits():
-    from smile_lab.mixup import mix
-    x_a = np.array([[-0.0, 0.25], [1.0, -0.0]])[..., None]
-    x_b = np.array([[-2.0, -0.0], [0.5, 3.0]])[..., None]
-    coefs = [0.0, 1.0, 0.3, 0.0, 0.75]
-    expected = np.stack([mix(x_a, x_b, c) for c in coefs])
-    assert interp._mix_rows(x_a, x_b, coefs).tobytes() == expected.tobytes()
+def test_draws_that_do_not_fit_are_refused_before_any_model_call(
+        dataset, monkeypatch):
+    calls = []
+    fn = lambda x: calls.append(len(x)) or _affine_fn()(x)
+    monkeypatch.setattr(data, "available_memory", lambda: 2**30)
+    with pytest.raises(interp.ILTooLarge):
+        interp.estimate_IL(fn, dataset, interp.ILConfig(n_pairs=10**9))
+    assert calls == []
+    interp.estimate_IL(fn, dataset, interp.ILConfig(n_pairs=3))
+    assert calls == [6] * 12
+
+
+@pytest.mark.parametrize("cfg", [
+    interp.ILConfig(n_pairs=2, n_delta_draws=1, n_lambda_draws=3000),
+    interp.ILConfig(n_pairs=400, n_lambda_draws=20)],
+    ids=["batch", "ratios"])
+def test_il_bytes_bound_what_estimate_IL_allocates(dataset, cfg):
+    fn = _affine_fn()
+    tracemalloc.start()
+    try:
+        interp.estimate_IL(fn, dataset, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= interp.il_bytes(cfg, dataset.inputs[0].size)
 
 
 def test_feature_fn_extracts_each_batch_once(dataset, monkeypatch):

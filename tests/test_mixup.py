@@ -35,6 +35,31 @@ def test_mix_rejects_bad_inputs():
             mixup.mix(u, u, lam)
 
 
+def test_mix_rows_keeps_endpoint_bits():
+    # the rule written out, since mix is mix_rows' one-coefficient case;
+    # the signed zeros tell a copied endpoint from the sum at 0 and 1
+    u = np.array([[-0.0, 0.25], [1.0, -0.0]])[..., None]
+    v = np.array([[-2.0, -0.0], [0.5, 3.0]])[..., None]
+    assert ((1 - 0.0) * u + 0.0 * v).tobytes() != u.tobytes()
+    assert ((1 - 1.0) * u + 1.0 * v).tobytes() != v.tobytes()
+    coefs = [0.0, 1.0, 0.3, 0.0, 0.75]
+    rows = mixup.mix_rows(u, v, coefs)
+    assert rows.shape == (len(coefs), *u.shape)
+    for row, c in zip(rows, coefs, strict=True):
+        expected = {0.0: u, 1.0: v}.get(c, (1 - c) * u + c * v)
+        assert row.tobytes() == expected.tobytes()
+
+
+def test_mix_rows_refuses_with_mix_messages():
+    u = np.zeros((2, 2))
+    with pytest.raises(ValueError,
+                       match=r"^mix shape mismatch: \(2, 2\) vs \(3, 2\)$"):
+        mixup.mix_rows(u, np.zeros((3, 2)), [0.5])
+    for lam in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError, match=f"^lambda out of range: {lam}$"):
+            mixup.mix_rows(u, u, [0.5, lam])
+
+
 def test_sample_lambda_range_and_determinism():
     draws = [mixup.sample_lambda(1.0, np.random.default_rng(7))
              for _ in range(200)]
