@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Print sha256 digests of the pipeline's artifacts at a small config.
 
-Runs gen-data --csv, pretrain, train for every fine-tuning mode and for the
-SMILE variants in ``VARIANTS``, ablate and diagnose through the CLI in a
-temporary directory, then prints one ``<sha256>  <artifact>`` line for the
-four dataset CSVs, pretrained.ckpt, every student_*.ckpt and metrics_*.csv,
-ablation_summary.csv, il_report.json and pca_traj.csv. Two source trees
-that give the same lines compute the same bytes; a refactor that claims to
-change no arithmetic shows it by comparing this output before and after:
+Runs gen-data --csv, pretrain, train for every fine-tuning mode, ablate and
+diagnose through the CLI in a temporary directory, then prints one
+``<sha256>  <artifact>`` line for the four dataset CSVs, pretrained.ckpt,
+every student_*.ckpt and metrics_*.csv, ablation_summary.csv,
+il_report.json and pca_traj.csv. Two source trees that give the same lines
+compute the same bytes; a refactor that claims to change no arithmetic
+shows it by comparing this output before and after:
 
     PYTHONPATH=src python3 scripts/golden_digests.py > after.txt
     PYTHONPATH=<checkout>/src python3 scripts/golden_digests.py > before.txt
@@ -57,14 +57,6 @@ ablation_seeds: [0, 1]
 output_dir: out
 """
 
-# SMILE runs off the default branches; their artifacts are renamed to
-# student_<name>.ckpt and metrics_<name>.csv
-VARIANTS = {
-    "SMILE-probs": "train.compare_space=probs",
-    "SMILE-ema": "train.teacher_update=ema",
-}
-
-
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -108,13 +100,6 @@ def artifact_digests() -> dict:
             out = Path("out")
             _run(["gen-data", "--csv"])
             _run(["pretrain"])
-            # the variants run first: each writes, then renames, the
-            # artifacts of the default SMILE run
-            for name, override in VARIANTS.items():
-                _run(["train", "train.mode=SMILE", override])
-                for kind, ext in (("student", "ckpt"), ("metrics", "csv")):
-                    (out / f"{kind}_SMILE.{ext}").rename(
-                        out / f"{kind}_{name}.{ext}")
             for mode in train.MODES:
                 _run(["train", f"train.mode={mode}"])
             _run(["ablate"])

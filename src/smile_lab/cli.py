@@ -139,6 +139,9 @@ def cmd_diagnose(cfg: ExperimentConfig, args) -> None:
         label_fn = feature_fn = _affine_stub_fn(
             math.prod(target_test.inputs.shape[1:]), cfg.seed)
     else:
+        interpolation.check_il_fits(cfg.diagnostics,
+                                    target_test.inputs[0].size,
+                                    weights.arch.feature_dim)
         # one feature sweep serves both estimates: they draw the same
         # batches, and the feature closure keeps what it extracted
         feature_fn = interpolation.model_output_fn(weights, "feature")

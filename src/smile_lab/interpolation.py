@@ -68,15 +68,33 @@ class ILReport:
     config: ILConfig
 
 
-def il_bytes(config: ILConfig, image_size: int) -> int:
+def il_bytes(config: ILConfig, image_size: int,
+             cached_width: int = 0) -> int:
     """A bound on the memory estimate_IL takes at its peak, besides the
     model's own: a draw's batch of 2 + n_lambda_draws mixed images with the
     two products it is summed from and its coefficients (two Python floats
     and a float64 a row), and every distance ratio, a Python float in a
-    growing list and a float64 in its array and in std's deviations."""
+    growing list and a float64 in its array and in std's deviations.
+
+    A nonzero cached_width adds what a model_output_fn closure of that
+    output width keeps over the draws: each draw's batch of outputs, with
+    its array header, its key and its dict entry (under 512 bytes)."""
     rows = 2 + config.n_lambda_draws
     n_ratios = config.n_pairs * config.n_delta_draws * config.n_lambda_draws
-    return rows * (3 * 8 * image_size + 72) + 56 * n_ratios
+    cache = (config.n_pairs * config.n_delta_draws
+             * (rows * 8 * cached_width + 512) if cached_width else 0)
+    return rows * (3 * 8 * image_size + 72) + 56 * n_ratios + cache
+
+
+def check_il_fits(config: ILConfig, image_size: int,
+                  cached_width: int) -> None:
+    """gen-data's memory rule for IL draws: raise ILTooLarge, before the
+    first draw, when il_bytes exceeds the available memory."""
+    need = il_bytes(config, image_size, cached_width)
+    have = data.available_memory()
+    if have is not None and need > have:
+        raise ILTooLarge(f"the IL draws need about {need / 2**30:.3g} GiB, "
+                         f"{have / 2**30:.3g} GiB are available")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -96,12 +114,7 @@ def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
     n = len(dataset)
     if n < 2:
         raise ValueError("need at least two samples")
-    # gen-data's memory rule, before the first draw
-    need = il_bytes(config, dataset.inputs[0].size)
-    have = data.available_memory()
-    if have is not None and need > have:
-        raise ILTooLarge(f"the IL draws need about {need / 2**30:.3g} GiB, "
-                         f"{have / 2**30:.3g} GiB are available")
+    check_il_fits(config, dataset.inputs[0].size, 0)
     ratios: List[float] = []
     n_degenerate = 0
     for _ in range(config.n_pairs):
@@ -145,7 +158,8 @@ def model_output_fn(weights: model.ModelWeights, layer: str):
     sha256 of the batch for as long as the closure lives: the label and
     feature estimates of one seed draw the same batches, so logits taken
     as ``model.head_logits`` of this closure's output cost no second
-    feature extraction.
+    feature extraction. ``il_bytes`` with a cached_width bounds what it
+    keeps.
     """
     if layer != "feature":
         raise ValueError(f"unknown layer {layer!r}: logits are "

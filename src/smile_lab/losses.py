@@ -84,22 +84,15 @@ def mixup_loss(x: np.ndarray, y: np.ndarray, student_t: Dict[str, T.Tensor],
 
 def source_label_mixup_loss(x_src: np.ndarray, student_t: Dict[str, T.Tensor],
                             teacher: model.ModelWeights, lam: float,
-                            pairing: np.ndarray,
-                            compare_space: str = "logits") -> T.Tensor:
-    """Source-domain sample-to-label mixup: student source-head output on
-    mixed inputs vs the mix of teacher source-head outputs (a teacher has
-    no target head, so head_logits reads its source head).
-
-    compare_space selects raw logits (default) or softmax probabilities.
-    """
+                            pairing: np.ndarray) -> T.Tensor:
+    """Source-domain sample-to-label mixup: student source-head logits on
+    mixed inputs vs the mix of teacher source-head logits (a teacher has
+    no target head, so head_logits reads its source head)."""
     teacher_out = T.constant(model.head_logits(
         model.feature_extract(x_src, teacher), teacher))
     x_mixed = mix(x_src, x_src[pairing], lam)
     student_out = model.head_logits_t(
         model.feature_extract_t(x_mixed, student_t), student_t, "src")
-    if compare_space == "probs":
-        student_out = T.softmax(student_out)
-        teacher_out = T.softmax(teacher_out)
     return distillation_loss(student_out, teacher_out.values, pairing, lam)
 
 
@@ -132,8 +125,7 @@ def total_objective(student_t: Dict[str, T.Tensor],
                     x_src: np.ndarray | None, n_target_classes: int,
                     lam: float, tgt_pairing: np.ndarray,
                     src_pairing: np.ndarray | None,
-                    weights: LossWeights, use_mixup: bool,
-                    compare_space: str = "logits"):
+                    weights: LossWeights, use_mixup: bool):
     """Task cross-entropy plus, with use_mixup, the triplet regularizer
     L_mxp + gamma_fe * L_fe + gamma_fc * L_fc, backpropagated into the
     leaves of student_t pass by pass: the clean target batch (task), the
@@ -162,7 +154,7 @@ def total_objective(student_t: Dict[str, T.Tensor],
             tgt_pairing, weights.fe, breakdown))
         if use_source:
             fc = source_label_mixup_loss(x_src, student_t, teacher, lam,
-                                         src_pairing, compare_space)
+                                         src_pairing)
             breakdown.fc = float(fc.values)
             triplet += _backward_now(T.scale(fc, weights.fc))
         total += triplet

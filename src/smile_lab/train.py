@@ -62,9 +62,6 @@ class TrainConfig:
     lr_drop_fraction: float = 2.0 / 3.0
     lr_drop_factor: float = 10.0
     mode: str = "SMILE"
-    teacher_update: str = "periodic-copy"   # or "ema"
-    ema_decay: float = 0.99
-    compare_space: str = "logits"
     # The squared-norm regularizers are stiff quadratics on unbounded
     # activations; with momentum they can spiral within a few iterations.
     # Global-norm clipping bounds the step without changing directions.
@@ -80,12 +77,6 @@ class TrainConfig:
             raise ValueError("teacher period must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.teacher_update not in ("periodic-copy", "ema"):
-            raise ValueError(f"unknown teacher update {self.teacher_update!r}")
-        if not 0.0 <= self.ema_decay <= 1.0:
-            raise ValueError("ema_decay must be in [0, 1]")
-        if self.compare_space not in ("logits", "probs"):
-            raise ValueError(f"unknown compare space {self.compare_space!r}")
         if not self.grad_clip >= 0:
             raise ValueError("grad_clip must be >= 0")
         if not self.lr_drop_factor > 0:
@@ -234,18 +225,12 @@ def update_teacher(teacher: model.ModelWeights | None,
                    teacher_kind: str) -> model.ModelWeights | None:
     """Teacher refresh at the top of iteration k, before the student step.
 
-    A copy refresh returns a new snapshot of the k-1 student's FE and
-    source head (the teacher carries no target head): a 'latest' teacher
-    at every iteration, a periodic-copy one at every multiple of P. An ema
-    teacher is averaged in place at every iteration (decay 0 tracks the
-    student); a 'fixed' teacher never changes.
+    A refresh returns a new snapshot of the k-1 student's FE and source
+    head (the teacher carries no target head): a 'latest' teacher at every
+    iteration, a 'periodic' one at every multiple of P. A 'fixed' teacher
+    never changes.
     """
     if teacher is None or teacher_kind == "fixed":
-        return teacher
-    if teacher_kind == "periodic" and config.teacher_update == "ema":
-        d = config.ema_decay
-        for name in teacher.params:
-            teacher.params[name] = d * teacher.params[name] + (1 - d) * student.params[name]
         return teacher
     period = config.teacher_period if teacher_kind == "periodic" else 1
     if k % period:
@@ -299,7 +284,7 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
         def objective(wt):
             return total_objective(
                 wt, teacher, x, y, x_src, n_tgt_classes, lam, tgt_pairing,
-                src_pairing, eff_weights, use_mixup, config.compare_space)[1]
+                src_pairing, eff_weights, use_mixup)[1]
 
         with diverges_at(k, "training"):
             breakdown = _training_step(student, objective, state, lr,

@@ -4,9 +4,11 @@ and every defaulted parameter of a def has a call there that passes it.
 A def counts as called when a reference outside its own definition
 resolves to it the way Python would resolve it, not when its name merely
 appears:
-- a top-level def or class of module ``m`` by its bare name in ``m``, by a
-  name imported from ``m`` (``from .m import f``), or as an attribute of a
-  name bound to ``m`` (``from . import m as M``, then ``M.f``);
+- a top-level def or class of module ``m`` by its bare name in ``m``
+  where no enclosing function binds that name (as a parameter or an
+  assignment target of its own body), by a name imported from ``m``
+  (``from .m import f``), or as an attribute of a name bound to ``m``
+  (``from . import m as M``, then ``M.f``);
 - a method or property by an attribute read of its name. When a numpy
   array or a builtin container has an attribute of that name (``shape``,
   ``copy``, ``mean``), only a read on an instance of its class counts:
@@ -37,6 +39,7 @@ ALLOWED = {
     "grad_check": "criterion 1 checks every analytic gradient with it",
     "mean": "criterion 1 checks its gradient by name",
     "multiply": "criterion 1 checks its gradient by name",
+    "softmax": "criterion 1 checks its gradient by name",
     "mixup_loss": "criterion 5 checks that mixup at lambda 0 is the task loss",
 }
 
@@ -128,19 +131,40 @@ def _typed_names(module: _Module, scope, parent, env: dict) -> dict:
     return env
 
 
-def _walk(module, node, enclosing, env, defs, refs, calls):
+def _local_names(function) -> set:
+    """The names a function binds itself: its parameters and the names
+    assigned in its own body, not in the defs nested in it."""
+    args = function.args
+    names = {arg.arg for arg in [*args.posonlyargs, *args.args,
+                                 *args.kwonlyargs, args.vararg, args.kwarg]
+             if arg is not None}
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, _DEFS):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _walk(module, node, enclosing, env, local, defs, refs, calls):
     """Collect every definition under ``node`` with its parent node and the
     definitions that enclose it, every Name and Attribute with the
     definitions that enclose it and the classes its receiver may have, and
-    every call with the definitions that enclose it."""
+    every call with the definitions that enclose it. A Name in ``local``,
+    the names that the enclosing functions bind, refers to no top-level
+    def, so it is not collected."""
     for child in ast.iter_child_nodes(node):
-        inner, inner_env = enclosing, env
+        inner, inner_env, inner_local = enclosing, env, local
         if isinstance(child, _DEFS):
             defs.append((module, child, node, enclosing))
             inner = enclosing | {child}
             if isinstance(child, _FUNCTIONS):
                 inner_env = _typed_names(module, child, node, env)
-        elif isinstance(child, (ast.Name, ast.Attribute)):
+                inner_local = local | _local_names(child)
+        elif isinstance(child, ast.Attribute) or (
+                isinstance(child, ast.Name) and child.id not in local):
             receiver = set()
             if isinstance(child, ast.Attribute):
                 value = child.value
@@ -151,7 +175,8 @@ def _walk(module, node, enclosing, env, defs, refs, calls):
             refs.append((module, child, enclosing, receiver))
         if isinstance(child, ast.Call):
             calls.append((child, enclosing))
-        _walk(module, child, inner, inner_env, defs, refs, calls)
+        _walk(module, child, inner, inner_env, inner_local, defs, refs,
+              calls)
 
 
 def _parse(package_files, other_files):
@@ -160,7 +185,8 @@ def _parse(package_files, other_files):
         module = _Module(path)
         found = []
         env = _typed_names(module, module.tree, None, {})
-        _walk(module, module.tree, frozenset(), env, found, refs, calls)
+        _walk(module, module.tree, frozenset(), env, set(), found, refs,
+              calls)
         if path in package_files:
             defs += found
     return defs, refs, calls
@@ -277,6 +303,9 @@ def test_every_defaulted_parameter_is_passed():
      "outer()\n", set()),
     ("def outer():\n    def inner():\n        pass\n\n\n"
      "def other():\n    return inner\n\nouter()\nother()\n", {"inner"}),
+    ("def softmax(x):\n    return x\n\n\n"
+     "def f(g):\n    softmax = g + 1\n    return softmax * 2\n\nf(1)\n",
+     {"softmax"}),
 ])
 def test_uncalled_names_on_small_sources(tmp_path, source, expected):
     path = tmp_path / "module.py"

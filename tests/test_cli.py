@@ -241,6 +241,30 @@ def test_diagnose_explicit_checkpoint(workdir, tmp_path):
     assert code == 0
 
 
+def test_diagnose_counts_the_kept_features_against_memory(workdir, tmp_path,
+                                                          monkeypatch):
+    out, run = workdir
+    run("gen-data")
+    run("pretrain")
+    diagnostics = load_config(tmp_path / "exp.yaml").diagnostics
+    size = data.load(out / "target_test.bin").inputs[0].size
+    width = model.load_checkpoint(out / "pretrained.ckpt").arch.feature_dim
+    argv = ("diagnose", "--checkpoint", str(out / "pretrained.ckpt"))
+    # room for the draws, but not for the features the closure keeps
+    monkeypatch.setattr(data, "available_memory",
+                        lambda: interpolation.il_bytes(diagnostics, size))
+    code, _, err = run(*argv)
+    assert code == 1 and not (out / "il_report.json").exists()
+    assert [json.loads(line)["error"] for line in err.splitlines()] == [
+        "ILTooLarge"]
+    # the affine stub keeps nothing
+    assert run("diagnose", "--affine-stub")[0] == 0
+    monkeypatch.setattr(data, "available_memory",
+                        lambda: interpolation.il_bytes(diagnostics, size,
+                                                       width))
+    assert run(*argv)[0] == 0
+
+
 @pytest.mark.parametrize("damage", ["drop src_b", "append junk"])
 def test_diagnose_rejects_a_malformed_checkpoint(workdir, damage):
     out, run = workdir
@@ -555,6 +579,12 @@ def _initial_weights(name, update):
                  id="removed-shared-lambda-switch"),
     pytest.param({}, ["gen-data", "pretrain.use_mixup=false"], "ConfigError",
                  id="removed-pretraining-mixup-switch"),
+    pytest.param({}, ["gen-data", "train.compare_space=probs"], "ConfigError",
+                 id="removed-compare-space-switch"),
+    pytest.param({}, ["gen-data", "train.teacher_update=ema"], "ConfigError",
+                 id="removed-teacher-update-switch"),
+    pytest.param({}, ["gen-data", "train.ema_decay=0.5"], "ConfigError",
+                 id="removed-ema-decay-setting"),
     pytest.param({"out": "data"}, ["diagnose", "diagnostics.layer=feature"],
                  "ConfigError", id="diagnose-ignores-a-layer"),
 ])
@@ -689,6 +719,7 @@ def _chain_errors(drawn):
 @example(drawn=["pretrain.batch_size=1000000"])
 @example(drawn=["task.samples_per_class=1000000000"])
 @example(drawn=["diagnostics.n_lambda_draws=1000000000"])
+@example(drawn=["diagnostics.n_pairs=1000000000"])
 def test_chain_exits_0_or_1_with_one_json_line(drawn):
     _chain_errors(drawn)
 
@@ -702,6 +733,8 @@ def test_chain_exits_0_or_1_with_one_json_line(drawn):
     # both diagnose steps refuse the IL draws before the first, so no
     # il_report.json is written; report reads the training artifacts
     ("diagnostics.n_lambda_draws=1000000000",
+     [None] * 4 + ["ILTooLarge"] * 2 + [None]),
+    ("diagnostics.n_pairs=1000000000",
      [None] * 4 + ["ILTooLarge"] * 2 + [None]),
 ])
 def test_large_valid_ints_run_or_are_refused_first(override, errors):

@@ -133,9 +133,8 @@ def test_override_bool_and_string():
     for override in ["train.iterations=true", "seed=false"]:
         with pytest.raises(ConfigError):
             load_config(None, [override])
-    cfg = load_config(None, ["train.compare_space=probs",
-                             "output_dir=elsewhere"])
-    assert cfg.train.compare_space == "probs"
+    cfg = load_config(None, ["train.mode=D-SMILE", "output_dir=elsewhere"])
+    assert cfg.train.mode == "D-SMILE"
     assert cfg.output_dir == "elsewhere"
 
 
@@ -165,9 +164,8 @@ def test_step_settings_validated(override):
 
 @pytest.mark.parametrize("section, key, value", [
     ("task", "patch_size", 0), ("task", "image_size", 0),
-    ("train", "grad_clip", -1.0), ("train", "ema_decay", 5.0),
-    ("train", "ema_decay", -0.5), ("train", "compare_space", "bogus"),
-    ("train", "alpha", 0.0), ("train", "alpha", -1.0),
+    ("train", "grad_clip", -1.0), ("train", "alpha", 0.0),
+    ("train", "alpha", -1.0),
     ("pretrain", "alpha", 0.0), ("train", "lr_drop_factor", 0.0),
     ("train", "lr_drop_fraction", -1.0), ("train", "eval_every", -1),
     ("train", "momentum", -5.0), ("pretrain", "momentum", -0.1),

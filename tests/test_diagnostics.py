@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -342,6 +343,38 @@ def test_il_bytes_bound_what_estimate_IL_allocates(dataset, cfg):
     finally:
         tracemalloc.stop()
     assert peak <= interp.il_bytes(cfg, dataset.inputs[0].size)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_il_bytes_bound_what_the_feature_closure_keeps(dataset):
+    # the label and then the feature estimate through one closure, as
+    # diagnose runs them; il_bytes leaves out the model's own peak over a
+    # batch, so that is measured apart and added
+    cfg = interp.ILConfig(n_pairs=300)
+    batch = dataset.inputs[:2 + cfg.n_lambda_draws]
+    features = interp.model_output_fn(_WEIGHTS, "feature")
+    logits = lambda x: model.head_logits(features(x), _WEIGHTS)
+
+    def estimates():
+        for layer, fn in (("label", logits), ("feature", features)):
+            interp.estimate_IL(fn, dataset,
+                               dataclasses.replace(cfg, layer=layer))
+
+    one_batch = lambda: _label_fn(_WEIGHTS)(batch)
+    one_batch()         # a first call allocates what later calls reuse
+    model_peak, peak = _traced_peak(one_batch), _traced_peak(estimates)
+    size = dataset.inputs[0].size
+    assert interp.il_bytes(cfg, size) + model_peak < peak
+    assert peak <= interp.il_bytes(cfg, size, _WEIGHTS.arch.feature_dim) \
+        + model_peak
 
 
 def test_feature_fn_extracts_each_batch_once(dataset, monkeypatch):

@@ -125,19 +125,6 @@ def test_source_label_mixup_loss_numpy_oracle(student):
     assert float(out.values) == pytest.approx(expected, rel=1e-12)
 
 
-def test_source_label_mixup_probs_space(student):
-    teacher = model.init_weights(ARCH, seed=2)
-    wt = model.as_tensors(student)
-    logit_val = losses.source_label_mixup_loss(
-        X_SRC, wt, teacher, lam=0.5, pairing=PAIR, compare_space="logits")
-    prob_val = losses.source_label_mixup_loss(
-        X_SRC, wt, teacher, lam=0.5, pairing=PAIR, compare_space="probs")
-    assert float(logit_val.values) != float(prob_val.values)
-    # probability rows have norm at most sqrt(2), so the mean sumsq of a
-    # difference of two distributions is bounded by 2 per row
-    assert 0.0 <= float(prob_val.values) <= 2.0
-
-
 def test_triplet_loss_weight_scaling(student):
     teacher = model.init_weights(ARCH, seed=2)
     lam = 0.5
@@ -216,8 +203,7 @@ def _grads(wt):
     return {n: t.grad for n, t in wt.items()}
 
 
-def _single_graph_reference(wt, teacher, weights, compare_space, lam,
-                            src_pairing):
+def _single_graph_reference(wt, teacher, weights, lam, src_pairing):
     """The objective as one graph, its terms added in total_objective's
     order and backpropagated from their sum; returns the sum's value."""
     feats = model.feature_extract_t(mix(X, X[PAIR], lam), wt)
@@ -229,25 +215,24 @@ def _single_graph_reference(wt, teacher, weights, compare_space, lam,
         triplet = T.add(triplet, T.scale(fe, weights.fe))
     if weights.fc > 0:
         fc = losses.source_label_mixup_loss(X_SRC, wt, teacher, lam,
-                                            src_pairing, compare_space)
+                                            src_pairing)
         triplet = T.add(triplet, T.scale(fc, weights.fc))
     total = T.add(losses.task_loss(X, Y, wt, 5), triplet)
     T.backward(total)
     return float(total.values)
 
 
-@pytest.mark.parametrize("compare_space", ["logits", "probs"])
 @pytest.mark.parametrize("fe, fc", [(0.01, 0.1), (1.0, 0.0), (0.0, 2.5)])
-def test_per_pass_backward_matches_one_graph(student, fe, fc, compare_space):
+def test_per_pass_backward_matches_one_graph(student, fe, fc):
     teacher = model.init_weights(ARCH, seed=2)
     weights = losses.LossWeights(fe=fe, fc=fc)
     src_pair = np.array([5, 0, 1, 2, 3, 4])
     wt_ref = model.as_tensors(student)
-    ref_total = _single_graph_reference(wt_ref, teacher, weights,
-                                        compare_space, 0.3, src_pair)
+    ref_total = _single_graph_reference(wt_ref, teacher, weights, 0.3,
+                                        src_pair)
     wt = model.as_tensors(student)
     total, bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.3, PAIR,
-                                       src_pair, weights, True, compare_space)
+                                       src_pair, weights, True)
 
     def assert_reference_grads():
         for name, ref in _grads(wt_ref).items():
