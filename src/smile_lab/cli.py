@@ -63,7 +63,8 @@ def _inputs(out: Path, ckpt: Path | None, *names: str):
 
 def cmd_gen_data(cfg: ExperimentConfig, args) -> None:
     out = _out_dir(cfg)
-    data.check_memory(cfg.task, cfg.subsample_rate)
+    data.check_fits(data.generation_bytes(cfg.task, cfg.subsample_rate),
+                    "the datasets", data.TaskTooLarge)
     out.mkdir(parents=True, exist_ok=True)
     source = data.generate_source(cfg.task)
     target_full = data.derive_target(cfg.task)
@@ -139,9 +140,10 @@ def cmd_diagnose(cfg: ExperimentConfig, args) -> None:
         label_fn = feature_fn = _affine_stub_fn(
             math.prod(target_test.inputs.shape[1:]), cfg.seed)
     else:
-        interpolation.check_il_fits(cfg.diagnostics,
-                                    target_test.inputs[0].size,
-                                    weights.arch.feature_dim)
+        data.check_fits(interpolation.il_bytes(
+            cfg.diagnostics, target_test.inputs[0].size,
+            weights.arch.feature_dim), "the IL draws",
+            interpolation.ILTooLarge)
         # one feature sweep serves both estimates: they draw the same
         # batches, and the feature closure keeps what it extracted
         feature_fn = interpolation.model_output_fn(weights, "feature")

@@ -51,6 +51,9 @@ class ExperimentConfig:
                 raise ValueError(f"ablation_seeds: {seed} is negative")
         if not self.ablation_modes:
             raise ValueError("ablation_modes must name at least one mode")
+        # one seed has no spread to report
+        if len(self.ablation_seeds) < 2:
+            raise ValueError("ablation_seeds must name at least two seeds")
         # a repeated mode trains its cells twice and a repeated seed reruns
         # a cell bit for bit; either would count one run as two samples
         for name in ("ablation_modes", "ablation_seeds"):

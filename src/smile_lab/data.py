@@ -234,13 +234,12 @@ def generation_bytes(spec: TaskSpec, rate: float) -> int:
     return images * 8 * (spec.image_size ** 2 * spec.channels + 1)
 
 
-def check_memory(spec: TaskSpec, rate: float) -> None:
-    """Raise TaskTooLarge, before anything is allocated, when the datasets
-    of a task would not fit in the available memory."""
-    need, have = generation_bytes(spec, rate), available_memory()
+def check_fits(need: int, what: str, error: type) -> None:
+    """Raise ``error`` when ``need`` bytes exceed the available memory."""
+    have = available_memory()
     if have is not None and need > have:
-        raise TaskTooLarge(f"the datasets need about {need / 2**30:.3g} GiB, "
-                           f"{have / 2**30:.3g} GiB are available")
+        raise error(f"{what} need about {need / 2**30:.3g} GiB, "
+                    f"{have / 2**30:.3g} GiB are available")
 
 
 def stratified_subsample(dataset: Dataset, rate: float, seed: int) -> Dataset:

@@ -53,6 +53,9 @@ class ILConfig:
             raise ValueError("delta support must lie within [0, 1]")
         if min(self.n_pairs, self.n_delta_draws, self.n_lambda_draws) < 1:
             raise ValueError("draw counts must be >= 1")
+        # a zero anchor distance must count as degenerate, not divide
+        if not self.denom_epsilon > 0:
+            raise ValueError("denom_epsilon must be > 0")
         if self.layer not in ("label", "feature"):
             raise ValueError(f"unknown layer {self.layer!r}")
         if self.seed < 0:
@@ -86,17 +89,6 @@ def il_bytes(config: ILConfig, image_size: int,
     return rows * (3 * 8 * image_size + 72) + 56 * n_ratios + cache
 
 
-def check_il_fits(config: ILConfig, image_size: int,
-                  cached_width: int) -> None:
-    """gen-data's memory rule for IL draws: raise ILTooLarge, before the
-    first draw, when il_bytes exceeds the available memory."""
-    need = il_bytes(config, image_size, cached_width)
-    have = data.available_memory()
-    if have is not None and need > have:
-        raise ILTooLarge(f"the IL draws need about {need / 2**30:.3g} GiB, "
-                         f"{have / 2**30:.3g} GiB are available")
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
                 dataset, config: ILConfig,
@@ -114,7 +106,8 @@ def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
     n = len(dataset)
     if n < 2:
         raise ValueError("need at least two samples")
-    check_il_fits(config, dataset.inputs[0].size, 0)
+    data.check_fits(il_bytes(config, dataset.inputs[0].size), "the IL draws",
+                    ILTooLarge)
     ratios: List[float] = []
     n_degenerate = 0
     for _ in range(config.n_pairs):

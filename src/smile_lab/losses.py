@@ -88,12 +88,12 @@ def source_label_mixup_loss(x_src: np.ndarray, student_t: Dict[str, T.Tensor],
     """Source-domain sample-to-label mixup: student source-head logits on
     mixed inputs vs the mix of teacher source-head logits (a teacher has
     no target head, so head_logits reads its source head)."""
-    teacher_out = T.constant(model.head_logits(
-        model.feature_extract(x_src, teacher), teacher))
+    teacher_out = model.head_logits(model.feature_extract(x_src, teacher),
+                                    teacher)
     x_mixed = mix(x_src, x_src[pairing], lam)
     student_out = model.head_logits_t(
         model.feature_extract_t(x_mixed, student_t), student_t, "src")
-    return distillation_loss(student_out, teacher_out.values, pairing, lam)
+    return distillation_loss(student_out, teacher_out, pairing, lam)
 
 
 def _backward_now(loss: T.Tensor) -> float:

@@ -587,6 +587,11 @@ def _initial_weights(name, update):
                  id="removed-ema-decay-setting"),
     pytest.param({"out": "data"}, ["diagnose", "diagnostics.layer=feature"],
                  "ConfigError", id="diagnose-ignores-a-layer"),
+    # a zero anchor distance would divide instead of counting as degenerate
+    pytest.param({}, ["gen-data", "diagnostics.denom_epsilon=0"],
+                 "ConfigError", id="IL-denominator-floor-of-zero"),
+    pytest.param({}, ["gen-data", "ablation_seeds=[0]"], "ConfigError",
+                 id="ablation-of-one-seed"),
 ])
 def test_cli_errors_are_one_json_line(generated, tmp_path, monkeypatch, capsys,
                                       prepare, argv, error):
@@ -720,6 +725,9 @@ def _chain_errors(drawn):
 @example(drawn=["task.samples_per_class=1000000000"])
 @example(drawn=["diagnostics.n_lambda_draws=1000000000"])
 @example(drawn=["diagnostics.n_pairs=1000000000"])
+# the base's 2 pairs drew no anchor distance of exactly 0, which divided
+# by a denom_epsilon of 0
+@example(drawn=["diagnostics.denom_epsilon=0", "diagnostics.n_pairs=18"])
 def test_chain_exits_0_or_1_with_one_json_line(drawn):
     _chain_errors(drawn)
 

@@ -171,7 +171,7 @@ def test_step_settings_validated(override):
     ("train", "momentum", -5.0), ("pretrain", "momentum", -0.1),
     ("train", "weight_decay", -1e-4), ("pretrain", "weight_decay", -1e-4),
     ("task", "channels", 0), ("task", "samples_per_class", 0),
-    ("task", "n_target_classes", 0)])
+    ("task", "n_target_classes", 0), ("diagnostics", "denom_epsilon", 0.0)])
 def test_field_values_validated(section, key, value):
     with pytest.raises(ConfigError):
         load_config(None, [f"{section}.{key}={value}"])
@@ -201,7 +201,8 @@ def test_negative_seed_is_named(override, detail):
     ("ablation_modes", "FT", "ablation_modes=FT"),
     ("ablation_modes", [], "ablation_modes=[]"),
     ("ablation_modes", ["FT", "FT"], "ablation_modes=[FT, FT]"),
-    ("ablation_seeds", [0, 0], "ablation_seeds=[0, 0]")])
+    ("ablation_seeds", [0, 0], "ablation_seeds=[0, 0]"),
+    ("ablation_seeds", [0], "ablation_seeds=[0]")])
 def test_top_level_types_validated(key, value, override):
     with pytest.raises(ConfigError):
         build_config({key: value})
