@@ -133,6 +133,8 @@ def _affine_stub_fn(n_inputs: int, seed: int):
 
 def cmd_diagnose(cfg: ExperimentConfig, args) -> None:
     out = _out_dir(cfg)
+    if args.affine_stub and args.checkpoint:
+        raise ValueError("--checkpoint and --affine-stub exclude each other")
     ckpt = None if args.affine_stub else Path(
         args.checkpoint or out / f"student_{cfg.train.mode}.ckpt")
     weights, target_test = _inputs(out, ckpt, "target_test")

@@ -23,8 +23,8 @@ TRAJECTORY_COEFFICIENTS = (0.6, 0.7, 0.8, 0.9, 1.0)
 
 
 class AllDrawsDegenerate(ValueError):
-    """Every sampled draw had anchor outputs closer than ``denom_epsilon``,
-    so no distance ratio is defined."""
+    """Every sampled draw mixed a pair of equal images or gave exactly equal
+    anchor outputs, so no distance ratio is defined."""
 
 
 class ILTooLarge(ValueError):
@@ -45,7 +45,6 @@ class ILConfig:
     n_pairs: int = 100
     n_delta_draws: int = 4
     n_lambda_draws: int = 4
-    denom_epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -53,9 +52,6 @@ class ILConfig:
             raise ValueError("delta support must lie within [0, 1]")
         if min(self.n_pairs, self.n_delta_draws, self.n_lambda_draws) < 1:
             raise ValueError("draw counts must be >= 1")
-        # a zero anchor distance must count as degenerate, not divide
-        if not self.denom_epsilon > 0:
-            raise ValueError("denom_epsilon must be > 0")
         if self.layer not in ("label", "feature"):
             raise ValueError(f"unknown layer {self.layer!r}")
         if self.seed < 0:
@@ -114,6 +110,7 @@ def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
         i = int(rng.integers(0, n))
         j = int(rng.integers(0, n))
         x_a, x_b = dataset.inputs[i], dataset.inputs[j]
+        same_images = np.array_equal(x_a, x_b)
         for _ in range(config.n_delta_draws):
             d1 = float(rng.uniform(config.delta_low, config.delta_high))
             d2 = float(rng.uniform(config.delta_low, config.delta_high))
@@ -123,12 +120,11 @@ def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
             outs = np.asarray(model_fn(mix_rows(x_a, x_b, coefs)),
                               dtype=np.float64)
             y1, y2 = outs[0], outs[1]
-            # ||y_it - (lam*y1 + (1-lam)*y2)|| / ||y1 - y2||; anchors closer
-            # than denom_epsilon make every lambda of the draw degenerate
+            # a draw of equal images or equal anchor outputs has no ratio
             denom = float(np.linalg.norm(y1 - y2))
             if not math.isfinite(denom):
                 raise NonFiniteIL(f"anchor outputs {denom} apart")
-            if denom < config.denom_epsilon:
+            if same_images or denom == 0.0:
                 n_degenerate += len(lams)
                 continue
             for y_it, lam in zip(outs[2:], lams, strict=True):
@@ -136,7 +132,8 @@ def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
                     y_it - (lam * y1 + (1.0 - lam) * y2)))
                 ratios.append(numer / denom)
     if not ratios:
-        raise AllDrawsDegenerate("every sampled pair had coincident outputs")
+        raise AllDrawsDegenerate("every sampled draw mixed equal images or "
+                                 "gave equal anchor outputs")
     arr = np.array(ratios)
     mean, std = float(arr.mean()), float(arr.std())
     if not (math.isfinite(mean) and math.isfinite(std)):

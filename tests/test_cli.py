@@ -233,6 +233,24 @@ def test_diagnose_affine_stub(workdir):
     assert payload["label"]["mean"] <= 1e-6
 
 
+@pytest.mark.parametrize("overrides", [
+    ["task.samples_per_class=4", "diagnostics.n_pairs=6"],
+    ["task.samples_per_class=4", "diagnostics.n_pairs=18"],
+    ["task.samples_per_class=4", "diagnostics.n_pairs=100"],
+    # duplicate images: i != j pairs whose images are equal
+    ["task.noise_sigma=0.0"]])
+def test_affine_stub_reads_zero_il_with_equal_image_pairs(workdir, overrides):
+    # a pair of equal images has anchors apart by rounding alone, which
+    # must count as degenerate and not as a ratio of noise to noise
+    out, run = workdir
+    run("gen-data", *overrides)
+    assert run("diagnose", "--affine-stub", *overrides)[0] == 0
+    payload = json.loads((out / "il_report.json").read_text())
+    for layer in ("label", "feature"):
+        assert payload[layer]["n_degenerate"] > 0
+        assert payload[layer]["mean"] <= 1e-6
+
+
 def test_diagnose_explicit_checkpoint(workdir, tmp_path):
     out, run = workdir
     run("gen-data")
@@ -587,9 +605,10 @@ def _initial_weights(name, update):
                  id="removed-ema-decay-setting"),
     pytest.param({"out": "data"}, ["diagnose", "diagnostics.layer=feature"],
                  "ConfigError", id="diagnose-ignores-a-layer"),
-    # a zero anchor distance would divide instead of counting as degenerate
-    pytest.param({}, ["gen-data", "diagnostics.denom_epsilon=0"],
-                 "ConfigError", id="IL-denominator-floor-of-zero"),
+    # refused before any artifact is read: the checkpoint does not exist
+    pytest.param({}, ["diagnose", "--checkpoint", "{out}/missing.ckpt",
+                      "--affine-stub"], "ValueError",
+                 id="diagnose-a-checkpoint-and-the-affine-stub"),
     pytest.param({}, ["gen-data", "ablation_seeds=[0]"], "ConfigError",
                  id="ablation-of-one-seed"),
 ])
@@ -725,9 +744,9 @@ def _chain_errors(drawn):
 @example(drawn=["task.samples_per_class=1000000000"])
 @example(drawn=["diagnostics.n_lambda_draws=1000000000"])
 @example(drawn=["diagnostics.n_pairs=1000000000"])
-# the base's 2 pairs drew no anchor distance of exactly 0, which divided
-# by a denom_epsilon of 0
-@example(drawn=["diagnostics.denom_epsilon=0", "diagnostics.n_pairs=18"])
+# the base's 2 pairs draw no anchor distance of exactly 0, and 18 draw one
+# in three of the four estimates: a degenerate draw, not a division by 0
+@example(drawn=["diagnostics.n_pairs=18"])
 def test_chain_exits_0_or_1_with_one_json_line(drawn):
     _chain_errors(drawn)
 

@@ -171,7 +171,7 @@ def test_step_settings_validated(override):
     ("train", "momentum", -5.0), ("pretrain", "momentum", -0.1),
     ("train", "weight_decay", -1e-4), ("pretrain", "weight_decay", -1e-4),
     ("task", "channels", 0), ("task", "samples_per_class", 0),
-    ("task", "n_target_classes", 0), ("diagnostics", "denom_epsilon", 0.0)])
+    ("task", "n_target_classes", 0)])
 def test_field_values_validated(section, key, value):
     with pytest.raises(ConfigError):
         load_config(None, [f"{section}.{key}={value}"])

@@ -32,11 +32,11 @@ class _DegeneratePair(Exception):
     pass
 
 
-def _interp_distance(y_it, y1, y2, lam, epsilon=1e-8):
+def _interp_distance(y_it, y1, y2, lam):
     """The reference distance rule: ||y_it - (lam*y1 + (1-lam)*y2)||
-    over ||y1 - y2||; anchors closer than epsilon have no ratio."""
+    over ||y1 - y2||; equal anchors have no ratio."""
     denom = float(np.linalg.norm(y1 - y2))
-    if denom < epsilon:
+    if denom == 0.0:
         raise _DegeneratePair
     return float(np.linalg.norm(y_it - (lam * y1 + (1.0 - lam) * y2))) / denom
 
@@ -60,7 +60,9 @@ def test_distance_half():
 def test_distance_degenerate_raises():
     y = np.array([1.0, 2.0])
     with pytest.raises(_DegeneratePair):
-        _interp_distance(y, y, y + 1e-12, 0.5)
+        _interp_distance(y, y, y.copy(), 0.5)
+    # anchors apart by any nonzero distance have a ratio
+    assert _interp_distance(y, y, y + 2.0 ** -40, 0.5) == pytest.approx(0.5)
 
 
 def test_affine_model_has_zero_il(dataset):
@@ -121,11 +123,29 @@ def test_estimate_matches_enumeration_oracle(dataset):
 def test_estimate_scale_invariance(dataset):
     base = _affine_fn(seed=2)
     nonlinear = lambda x: np.tanh(base(x))
-    scaled = lambda x: 37.5 * nonlinear(x)
     cfg = interp.ILConfig(n_pairs=25, seed=3)
-    r1 = interp.estimate_IL(nonlinear, dataset, cfg)
-    r2 = interp.estimate_IL(scaled, dataset, cfg)
-    assert r1.mean == pytest.approx(r2.mean, abs=1e-9)
+    ref = interp.estimate_IL(nonlinear, dataset, cfg)
+    # IL is a ratio of output distances: no output scale, however small or
+    # large, makes a draw degenerate or moves a ratio past rounding
+    for scale in (37.5, 1e-9, 1e-6, 1e6):
+        report = interp.estimate_IL(lambda x: scale * nonlinear(x), dataset,
+                                    cfg)
+        assert abs(report.mean - ref.mean) <= 1e-12, scale
+        assert (report.n_effective, report.n_degenerate) == \
+            (ref.n_effective, ref.n_degenerate)
+
+
+def test_draws_of_equal_images_are_degenerate(dataset):
+    # the first pair mixes image 0 with itself: its anchors differ by
+    # rounding alone, which a large output scale does not make a ratio
+    ints = [0, 0, 1, 4]
+    floats = [0.2, 0.9, 0.5, 0.25, 0.8, 0.1, 0.6, 0.7]
+    cfg = interp.ILConfig(n_pairs=2, n_delta_draws=1, n_lambda_draws=2)
+    fn = lambda x: 1e12 * _affine_fn(seed=1)(x)
+    report = interp.estimate_IL(fn, dataset, cfg,
+                                rng=_ScriptedRng(ints, floats))
+    assert (report.n_effective, report.n_degenerate) == (2, 2)
+    assert report.mean <= 1e-6
 
 
 def test_estimate_deterministic(dataset):
@@ -266,14 +286,15 @@ def _estimate_il_per_row(model_fn, dataset, config, rng):
             outs = model_fn(batch)
             for idx, lam in enumerate(lams):
                 try:
+                    if np.array_equal(x_a, x_b):
+                        raise _DegeneratePair
                     ratios.append(_interp_distance(
-                        outs[2 + idx], outs[0], outs[1], lam,
-                        config.denom_epsilon))
+                        outs[2 + idx], outs[0], outs[1], lam))
                 except _DegeneratePair:
                     n_degenerate += 1
     if not ratios:
-        raise interp.AllDrawsDegenerate("every sampled pair had coincident "
-                                        "outputs")
+        raise interp.AllDrawsDegenerate("every sampled draw mixed equal "
+                                        "images or gave equal anchor outputs")
     arr = np.array(ratios)
     return interp.ILReport(float(arr.mean()), float(arr.std()), len(arr),
                            n_degenerate, config)
@@ -283,6 +304,11 @@ def _step_fn(x):
     # piecewise constant: many anchor pairs coincide, some do not
     return (x.reshape(len(x), -1)[:, :6] > 0.5).astype(np.float64)
 
+
+# anchors of equal images differ by rounding alone, which at this output
+# scale is far more than any fixed floor on their distance; default_rng(9)
+# draws i == j at the 109th pair
+_large_tanh = lambda x: 1e9 * np.tanh(_affine_fn(seed=5)(x))
 
 _WEIGHTS = model.init_weights(model.Architecture(), seed=3,
                               with_target_head=True)
@@ -297,13 +323,15 @@ _WEIGHTS = model.init_weights(model.Architecture(), seed=3,
     (lambda x: np.tanh(_affine_fn(seed=5)(x)),
      interp.ILConfig(delta_low=0.0, delta_high=1.0, n_pairs=20,
                      n_lambda_draws=3, seed=6)),
-], ids=["label", "feature", "partly-degenerate", "full-delta-support"])
+    (_large_tanh, interp.ILConfig(n_pairs=110)),
+], ids=["label", "feature", "partly-degenerate", "full-delta-support",
+        "equal-images-at-a-large-scale"])
 def test_estimate_matches_per_row_loop(dataset, fn, cfg):
     rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
     expected = _estimate_il_per_row(fn, dataset, cfg, rng_a)
     assert interp.estimate_IL(fn, dataset, cfg, rng=rng_b) == expected
     assert rng_b.bit_generator.state == rng_a.bit_generator.state
-    if fn is _step_fn:
+    if fn in (_step_fn, _large_tanh):
         assert expected.n_degenerate > 0 and expected.n_effective > 0
 
 

@@ -57,8 +57,11 @@ def _run(argv, **kwargs):
 
 
 def _changed(expected, digests):
-    return sorted(name for name in expected.keys() | digests.keys()
-                  if expected.get(name) != digests.get(name))
+    """'name: recorded -> new' for each artifact whose digest changed, the
+    line a change log records for a change by design."""
+    return [f"{name}: {expected.get(name)} -> {digests.get(name)}"
+            for name in sorted(expected.keys() | digests.keys())
+            if expected.get(name) != digests.get(name)]
 
 
 def test_pipeline_artifacts_match_golden_digests():
@@ -67,7 +70,7 @@ def test_pipeline_artifacts_match_golden_digests():
     expected = _golden_digests()
     stdout = _run([str(SCRIPTS / "golden_digests.py")], env=_env(1))
     changed = _changed(expected, _digests(stdout.splitlines()))
-    assert not changed, f"artifacts whose bytes changed: {changed}"
+    assert not changed, "artifacts whose bytes changed:\n" + "\n".join(changed)
 
 
 def test_smile_artifacts_match_with_two_blas_threads(tmp_path):
@@ -85,4 +88,4 @@ def test_smile_artifacts_match_with_two_blas_threads(tmp_path):
     names = ("pretrained.ckpt", "student_SMILE.ckpt", "metrics_SMILE.csv")
     digests = {name: golden.sha256(tmp_path / "out" / name) for name in names}
     changed = _changed({name: expected[name] for name in names}, digests)
-    assert not changed, f"artifacts whose bytes changed: {changed}"
+    assert not changed, "artifacts whose bytes changed:\n" + "\n".join(changed)
