@@ -341,13 +341,24 @@ def export_csv(dataset: Dataset, path) -> None:
     """Debug export: one row per sample, flattened pixels then the label.
 
     The bytes are those of ``csv.writer`` over the numpy scalars (float
-    repr, no quoting, CRLF line ends), written a row at a time so that no
-    whole-matrix list of Python floats is built.
+    repr, no quoting, CRLF line ends). orjson writes repr's shortest
+    round-trip digits about ten times faster, in repr's notation for every
+    value that is zero or has a magnitude in [1e-4, 1e16). A row holding
+    any other value (NaN, Inf, or a nonzero magnitude below 1e-4 or from
+    1e16 up, which orjson writes as null or in another notation) is joined
+    through repr instead.
     """
-    with atomic_write(path, "w", newline="") as fh:
-        n_pixels = math.prod(dataset.inputs.shape[1:])
+    import orjson
+    n_pixels = math.prod(dataset.inputs.shape[1:])
+    with atomic_write(path, "wb") as fh:
         fh.write(",".join([f"p{i}" for i in range(n_pixels)] + ["label"])
-                 + "\r\n")
+                 .encode() + b"\r\n")
         for x, y in zip(dataset.inputs.reshape(len(dataset), n_pixels),
                         dataset.labels.tolist()):
-            fh.write(f"{','.join(map(repr, x.tolist()))},{y}\r\n")
+            size = np.abs(x)
+            if (((size < 1e-4) & (size > 0)) | ~(size < 1e16)).any():
+                row = ",".join(map(repr, x.tolist())).encode()
+            else:   # orjson refuses a strided row
+                row = orjson.dumps(np.ascontiguousarray(x),
+                                   option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+            fh.write(b"%s,%d\r\n" % (row, y))

@@ -1,10 +1,10 @@
 """Only data.py encodes the lab's files: no other module of src/smile_lab
-imports struct or csv, or calls numpy's frombuffer. Datasets and
+imports struct, csv or orjson, or calls numpy's frombuffer. Datasets and
 checkpoints so keep one binary format, with one writer (data.save_arrays)
 and one loader (data.load_arrays) that owns every malformed-file check. The
 metrics, ablation and trajectory CSVs go through one writer
 (data.write_csv); the dataset CSVs are joined a row at a time by
-data.export_csv.
+data.export_csv, through orjson wherever its digits are those of repr.
 """
 
 import ast
@@ -14,7 +14,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "smile_lab"
 OWNER = "data.py"
-ENCODERS = ("struct", "csv")   # modules only OWNER imports
+ENCODERS = ("struct", "csv", "orjson")   # modules only OWNER imports
 
 
 def _binary_uses(source: str) -> list:
@@ -50,6 +50,7 @@ def test_the_rule_sees_the_format_where_it_is():
     uses = _binary_uses((PACKAGE / OWNER).read_text(encoding="utf-8"))
     assert any(use.endswith("import struct") for use in uses)
     assert any(use.endswith("import csv") for use in uses)
+    assert any(use.endswith("import orjson") for use in uses)
     assert any(use.endswith(".frombuffer") for use in uses)
 
 

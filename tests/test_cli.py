@@ -2,7 +2,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -115,6 +118,19 @@ def test_gen_data_csv_flag(workdir):
     code, _, _ = run("gen-data", "--csv")
     assert code == 0
     assert (out / "target_train.csv").exists()
+
+
+def test_importing_the_cli_leaves_orjson_unloaded():
+    # only gen-data --csv writes through orjson, so no other command pays
+    # for its import
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, smile_lab.cli; print('orjson' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_gen_data_idempotent(workdir):

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from smile_lab import data, model, train
 
@@ -319,18 +320,43 @@ def _csv_writer_reference(dataset, path):
             writer.writerow(list(x.reshape(-1)) + [int(y)])
 
 
-@pytest.mark.parametrize("dataset", [
-    data.derive_target(data.TaskSpec(samples_per_class=2, seed=0)),
-    data.Dataset(np.array([0.0, 1.0, 1e-05, 5e-324, 0.30000000000000004,
-                           0.1, 2.5e-300, 0.9999999999999999])
-                 .reshape(2, 2, 2, 1), np.array([0, 3]), 4),
-    data.Dataset(np.zeros((0, 4, 4, 1)), np.zeros(0, dtype=np.int64), 2),
-], ids=["generated", "float-edge-cases", "empty"])
-def test_export_csv_matches_csv_writer(tmp_path, dataset):
+def _export_matches_reference(dataset, tmp_path) -> bool:
     data.export_csv(dataset, tmp_path / "fast.csv")
     _csv_writer_reference(dataset, tmp_path / "reference.csv")
-    assert (tmp_path / "fast.csv").read_bytes() == \
+    return (tmp_path / "fast.csv").read_bytes() == \
         (tmp_path / "reference.csv").read_bytes()
+
+
+# one value a row, so each value alone picks orjson or the repr fallback:
+# repr's notation changes at magnitudes 1e-4 and 1e16, and orjson writes
+# NaN and Inf as null
+_EDGE_FLOATS = [0.0, 1.0, 1e-05, 5e-324, 0.30000000000000004, 0.1,
+                2.5e-300, 0.9999999999999999, 9.999999999999998e-05, 1e-4,
+                0.00010000000000000002, 9999999999999998.0, 1e16, -0.0,
+                np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("dataset", [
+    data.derive_target(data.TaskSpec(samples_per_class=2, seed=0)),
+    data.Dataset(np.array(_EDGE_FLOATS).reshape(-1, 1, 1, 1),
+                 np.arange(len(_EDGE_FLOATS)) % 4, 4),
+    data.Dataset(np.zeros((0, 4, 4, 1)), np.zeros(0, dtype=np.int64), 2),
+    # every second channel: each flattened row is a strided view
+    data.Dataset(np.linspace(0.1, 0.9, 32).reshape(2, 2, 2, 4)[..., ::2],
+                 np.array([0, 1]), 2),
+], ids=["generated", "float-edge-cases", "empty", "strided-inputs"])
+def test_export_csv_matches_csv_writer(tmp_path, dataset):
+    assert _export_matches_reference(dataset, tmp_path)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                    max_side=4),
+                       elements=st.floats()))
+def test_export_csv_matches_csv_writer_on_any_floats(tmp_path, rows):
+    dataset = data.Dataset(rows[:, None, :, None], np.zeros(len(rows)), 1)
+    assert _export_matches_reference(dataset, tmp_path)
 
 
 def _fake_proc(tmp_path, monkeypatch, meminfo, cgroup, files):
