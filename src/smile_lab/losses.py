@@ -75,13 +75,6 @@ def mixed_ce(logits: T.Tensor, y_i: np.ndarray, y_j: np.ndarray,
     return T.add(T.scale(loss_i, 1.0 - lam), T.scale(loss_j, lam))
 
 
-def mixup_loss(x: np.ndarray, y: np.ndarray, student_t: Dict[str, T.Tensor],
-               n_classes: int, lam: float, pairing: np.ndarray) -> T.Tensor:
-    """Sample-to-label mixup: lam-weighted cross-entropy on mixed inputs."""
-    return _mixed_target_loss(student_t, None, x, y, n_classes, lam, pairing,
-                              0.0, LossBreakdown())
-
-
 def source_label_mixup_loss(x_src: np.ndarray, student_t: Dict[str, T.Tensor],
                             teacher: model.ModelWeights, lam: float,
                             pairing: np.ndarray) -> T.Tensor:
@@ -102,15 +95,16 @@ def _backward_now(loss: T.Tensor) -> float:
     return float(loss.values)
 
 
-def _mixed_target_loss(student_t, teacher, x_tgt, y_tgt, n_classes, lam,
-                       pairing, gamma_fe, breakdown) -> T.Tensor:
-    """L_mxp + gamma_fe * L_fe: one forward on the mixed batch feeds both."""
-    teacher_feats = (model.feature_extract(x_tgt, teacher) if gamma_fe > 0
+def mixed_loss(student_t, head, teacher, x, y, n_classes, lam, pairing,
+               gamma_fe, breakdown) -> T.Tensor:
+    """L_mxp on the ``head`` logits plus gamma_fe * L_fe, one mixed forward
+    for both: pretraining's loss ("src") and fine-tuning's mixed pass."""
+    teacher_feats = (model.feature_extract(x, teacher) if gamma_fe > 0
                      else None)
-    student_feats = model.feature_extract_t(mix(x_tgt, x_tgt[pairing], lam),
+    student_feats = model.feature_extract_t(mix(x, x[pairing], lam),
                                             student_t)
-    loss = mixed_ce(model.head_logits_t(student_feats, student_t, "tgt"),
-                    y_tgt, y_tgt[pairing], n_classes, lam)
+    loss = mixed_ce(model.head_logits_t(student_feats, student_t, head),
+                    y, y[pairing], n_classes, lam)
     breakdown.mxp = float(loss.values)
     if gamma_fe > 0:
         fe = distillation_loss(student_feats, teacher_feats, pairing, lam)
@@ -149,8 +143,8 @@ def total_objective(student_t: Dict[str, T.Tensor],
         task_loss(x_tgt, y_tgt, student_t, n_target_classes)))
     total = breakdown.task
     if use_mixup:
-        triplet = _backward_now(_mixed_target_loss(
-            student_t, teacher, x_tgt, y_tgt, n_target_classes, lam,
+        triplet = _backward_now(mixed_loss(
+            student_t, "tgt", teacher, x_tgt, y_tgt, n_target_classes, lam,
             tgt_pairing, weights.fe, breakdown))
         if use_source:
             fc = source_label_mixup_loss(x_src, student_t, teacher, lam,

@@ -11,8 +11,9 @@ import numpy as np
 
 from . import data, model, tensor as T
 from .data import Dataset
-from .losses import LossBreakdown, LossWeights, mixed_ce, total_objective
-from .mixup import mix, pair_batch, sample_lambda
+from .losses import LossBreakdown, LossWeights, mixed_loss, total_objective
+# mix is unused here; perfbench/tests/test_spans.py wraps train.mix
+from .mixup import mix, pair_batch, sample_lambda  # noqa: F401
 
 # Per-mode effective settings: (use_mixup, use_fe_term, use_fc_term, teacher)
 _MODE_TABLE = {
@@ -201,12 +202,10 @@ def pretrain_source(dataset: Dataset, config: PretrainConfig) -> model.ModelWeig
         # source model starts with a huge source-domain penalty.
         lam = sample_lambda(config.alpha, rng)
         pairing = pair_batch(len(x), rng)
-        x, y_j = mix(x, x[pairing], lam), y[pairing]
 
         def objective(wt):
-            logits = model.head_logits_t(model.feature_extract_t(x, wt), wt,
-                                         "src")
-            T.backward(mixed_ce(logits, y, y_j, dataset.n_classes, lam))
+            T.backward(mixed_loss(wt, "src", None, x, y, dataset.n_classes,
+                                  lam, pairing, 0.0, LossBreakdown()))
 
         with diverges_at(k, "pretraining"):
             _training_step(weights, objective, state, config.lr,

@@ -35,13 +35,10 @@ PACKAGE = ROOT / "src" / "smile_lab"
 
 # Names that tests/test_acceptance.py calls and nothing in the package does;
 # the acceptance checks pin them as they are.
-ALLOWED = {
-    "grad_check": "criterion 1 checks every analytic gradient with it",
-    "mean": "criterion 1 checks its gradient by name",
-    "multiply": "criterion 1 checks its gradient by name",
-    "softmax": "criterion 1 checks its gradient by name",
-    "mixup_loss": "criterion 5 checks that mixup at lambda 0 is the task loss",
-}
+ALLOWED = dict.fromkeys(
+    ("mean", "multiply", "softmax"),
+    "criterion 1 checks its gradient by name, and PRIMITIVES in "
+    "perfbench/spans.py traces it by name")
 
 # Defaulted parameters that tests/test_acceptance.py passes and nothing in
 # the package does, as ``function.parameter``.
@@ -49,8 +46,6 @@ ALLOWED_PARAMETERS = {
     "init_weights.with_target_head":
         "criteria 1 and 5 build a model with a target head",
     "estimate_IL.rng": "criterion 3 enumerates the draws with a scripted rng",
-    "grad_check.step": "criterion 1 sets its finite-difference step",
-    "grad_check.tolerance": "criterion 1 sets its tolerance",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

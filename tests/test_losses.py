@@ -42,17 +42,24 @@ def test_task_loss_uniform_logits(student):
     assert float(out.values) == pytest.approx(np.log(5.0), abs=1e-12)
 
 
+def _mixup_loss(wt, x, y, lam, pairing):
+    """The mixed-pass loss alone: mixup cross-entropy on the target head,
+    no teacher and no feature term."""
+    return losses.mixed_loss(wt, "tgt", None, x, y, 5, lam, pairing, 0.0,
+                             losses.LossBreakdown())
+
+
 def test_mixup_loss_lambda_zero_is_task_loss(student):
     wt = model.as_tensors(student)
     plain = losses.task_loss(X, Y, wt, 5)
-    mixed = losses.mixup_loss(X, Y, wt, 5, lam=0.0, pairing=PAIR)
+    mixed = _mixup_loss(wt, X, Y, 0.0, PAIR)
     assert float(mixed.values) == float(plain.values)
 
 
 def test_mixup_loss_lambda_one_is_paired_task_loss(student):
     wt = model.as_tensors(student)
     plain = losses.task_loss(X[PAIR], Y[PAIR], wt, 5)
-    mixed = losses.mixup_loss(X, Y, wt, 5, lam=1.0, pairing=PAIR)
+    mixed = _mixup_loss(wt, X, Y, 1.0, PAIR)
     assert float(mixed.values) == float(plain.values)
 
 
@@ -60,9 +67,17 @@ def test_mixup_loss_identity_pairing_collapses(student):
     # pairing each sample with itself makes the mixed input the input
     wt = model.as_tensors(student)
     ident = np.arange(6)
-    mixed = losses.mixup_loss(X, Y, wt, 5, lam=0.5, pairing=ident)
+    mixed = _mixup_loss(wt, X, Y, 0.5, ident)
     plain = losses.task_loss(X, Y, wt, 5)
     assert float(mixed.values) == pytest.approx(float(plain.values), abs=1e-12)
+
+
+def _weighted_ce_oracle(logits, y_i, y_j, lam):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(len(logits))
+    return ((1.0 - lam) * -logp[rows, y_i].mean()
+            + lam * -logp[rows, y_j].mean())
 
 
 def test_mixup_loss_matches_weighted_ce_oracle(student):
@@ -70,15 +85,28 @@ def test_mixup_loss_matches_weighted_ce_oracle(student):
     x_mixed = mix(X, X[PAIR], lam)
     logits = model.head_logits(model.feature_extract(x_mixed, student),
                                student)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    ce_i = -logp[np.arange(6), Y].mean()
-    ce_j = -logp[np.arange(6), Y[PAIR]].mean()
-    expected = (1.0 - lam) * ce_i + lam * ce_j
+    expected = _weighted_ce_oracle(logits, Y, Y[PAIR], lam)
 
     wt = model.as_tensors(student)
-    out = losses.mixup_loss(X, Y, wt, 5, lam=lam, pairing=PAIR)
+    out = _mixup_loss(wt, X, Y, lam, PAIR)
     assert float(out.values) == pytest.approx(expected, abs=1e-10)
+
+
+def test_mixup_loss_on_the_source_head_matches_oracle(student):
+    # pretraining's use: source labels on the source head's logits
+    lam = 0.25
+    y_src = np.array([0, 7, 19, 3, 12, 7])
+    x_mixed = mix(X_SRC, X_SRC[PAIR], lam)
+    logits = (model.feature_extract(x_mixed, student) @ student.params["src_w"]
+              + student.params["src_b"])
+    expected = _weighted_ce_oracle(logits, y_src, y_src[PAIR], lam)
+
+    wt = model.as_tensors(student)
+    breakdown = losses.LossBreakdown()
+    out = losses.mixed_loss(wt, "src", None, X_SRC, y_src,
+                            ARCH.n_source_classes, lam, PAIR, 0.0, breakdown)
+    assert float(out.values) == pytest.approx(expected, abs=1e-10)
+    assert breakdown.mxp == float(out.values)
 
 
 def _feature_term_oracle(student, teacher, lam):
@@ -130,7 +158,7 @@ def test_triplet_loss_weight_scaling(student):
     lam = 0.5
     wt = model.as_tensors(student)
     task = float(losses.task_loss(X, Y, wt, 5).values)
-    mxp = float(losses.mixup_loss(X, Y, wt, 5, lam, PAIR).values)
+    mxp = float(_mixup_loss(wt, X, Y, lam, PAIR).values)
     fe = _feature_term_oracle(student, teacher, lam)
     fc = float(losses.source_label_mixup_loss(X_SRC, wt, teacher, lam,
                                               PAIR).values)
@@ -153,7 +181,7 @@ def test_triplet_loss_zero_weights_reduces_to_mixup(student):
     total, bd = losses.total_objective(wt, teacher, X, Y, None, 5, 0.5, PAIR,
                                        None, losses.LossWeights(fe=0.0, fc=0.0),
                                        True)
-    plain = losses.mixup_loss(X, Y, wt, 5, 0.5, PAIR)
+    plain = _mixup_loss(wt, X, Y, 0.5, PAIR)
     assert bd.mxp == float(plain.values)
     assert float(total.values) == bd.task + bd.mxp
     assert bd.fe == 0.0 and bd.fc == 0.0

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from smile_lab import model, tensor as T
 
 
@@ -15,7 +16,7 @@ def _fd_check(build, point, step=1e-5, tol=1e-4):
         T.backward(out)
         return float(out.values), leaf.grad
 
-    report = T.grad_check(f, point, step=step, tolerance=tol)
+    report = grad_check(f, point, step=step, tolerance=tol)
     assert report["passed"], report["max_rel_error"]
 
 
@@ -396,20 +397,3 @@ def test_sgd_rejects_non_finite_gradient():
     with pytest.raises(T.NonFiniteError):
         T.sgd_step({"w": np.array([1.0])}, {"w": np.array([np.nan])}, {},
                    lr=0.1)
-
-
-def test_grad_check_passes_on_square():
-    def f(x):
-        return float(x[0] ** 2), np.array([2.0 * x[0]])
-
-    report = T.grad_check(f, np.array([3.0]))
-    assert report["passed"]
-    assert report["analytic"] == pytest.approx([6.0])
-    assert report["finite_difference"] == pytest.approx([6.0], rel=1e-6)
-
-
-def test_grad_check_detects_corrupted_gradient():
-    def f(x):
-        return float(x[0] ** 2), np.array([2.0 * x[0] + 0.5])  # wrong rule
-
-    assert not T.grad_check(f, np.array([3.0]))["passed"]
