@@ -150,10 +150,12 @@ def cmd_diagnose(cfg: ExperimentConfig, args) -> None:
         # batches, and the feature closure keeps what it extracted
         feature_fn = interpolation.model_output_fn(weights, "feature")
         label_fn = lambda x: model.head_logits(feature_fn(x), weights)
-    reports = {}
-    for layer, fn in (("label", label_fn), ("feature", feature_fn)):
-        il_cfg = dataclasses.replace(cfg.diagnostics, layer=layer)
-        reports[layer] = interpolation.estimate_IL(fn, target_test, il_cfg)
+    reports = {"label": interpolation.estimate_IL(label_fn, target_test,
+                                                  cfg.diagnostics)}
+    # the stub has no head: its logits are its features, so the label
+    # estimate is the feature estimate
+    reports["feature"] = reports["label"] if weights is None else \
+        interpolation.estimate_IL(feature_fn, target_test, cfg.diagnostics)
 
     rng = np.random.default_rng(cfg.diagnostics.seed)
     n_pairs = min(4, len(target_test) // 2)

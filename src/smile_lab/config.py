@@ -134,9 +134,6 @@ def build_config(raw: dict) -> ExperimentConfig:
         values = raw.get(key, {})
         if not isinstance(values, dict):
             raise ConfigError(f"section {key} must be a mapping")
-        if key == "diagnostics" and "layer" in values:
-            raise ConfigError("diagnostics.layer is not a setting: "
-                              "diagnose reports both layers")
         setattr(cfg, key, _build(cls, {"seed": cfg.seed, **values}, key))
     return cfg
 

@@ -244,8 +244,6 @@ def check_fits(need: int, what: str, error: type) -> None:
 
 def stratified_subsample(dataset: Dataset, rate: float, seed: int) -> Dataset:
     """Keep ceil(rate * n_c) samples per class, never dropping a class."""
-    if not 0 < rate <= 1:
-        raise ValueError("rate must be in (0, 1]")
     if len(dataset) == 0:
         raise ValueError("cannot subsample an empty dataset")
     rng = np.random.default_rng(seed)

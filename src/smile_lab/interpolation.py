@@ -39,7 +39,6 @@ class NonFiniteIL(ValueError):
 
 @dataclass
 class ILConfig:
-    layer: str = "label"                 # "label" (logits) or "feature"
     delta_low: float = 0.5
     delta_high: float = 1.0
     n_pairs: int = 100
@@ -52,8 +51,6 @@ class ILConfig:
             raise ValueError("delta support must lie within [0, 1]")
         if min(self.n_pairs, self.n_delta_draws, self.n_lambda_draws) < 1:
             raise ValueError("draw counts must be >= 1")
-        if self.layer not in ("label", "feature"):
-            raise ValueError(f"unknown layer {self.layer!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -92,8 +89,8 @@ def estimate_IL(model_fn: Callable[[np.ndarray], np.ndarray],
     """Monte-Carlo estimate of the interpolation loss.
 
     ``model_fn`` maps a batch of inputs to a batch of output vectors (logits
-    or features, per config.layer). ``rng`` may be any object exposing
-    ``integers`` and ``uniform`` (a stub enables exhaustive enumeration).
+    or features). ``rng`` may be any object exposing ``integers`` and
+    ``uniform`` (a stub enables exhaustive enumeration).
     numpy's overflow warnings are silenced inside: a non-finite distance
     ends as one NonFiniteIL instead.
     """

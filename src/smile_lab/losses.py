@@ -21,10 +21,6 @@ class LossWeights:
     fe: float = 0.01
     fc: float = 0.1
 
-    def __post_init__(self):
-        if self.fe < 0 or self.fc < 0:
-            raise ValueError("loss weights must be >= 0")
-
 
 @dataclass
 class LossBreakdown:
@@ -131,14 +127,13 @@ def total_objective(student_t: Dict[str, T.Tensor],
     with the same seeds, so the leaf gradients have the same bits.
 
     Returns (total, breakdown); total is a parentless Tensor holding the
-    objective's value. One lam mixes the target and the source batch.
+    objective's value. One lam mixes the target and the source batch;
+    x_src and src_pairing are read only when use_mixup and weights.fc > 0.
     Terms with zero weight are skipped entirely (they contribute neither to
     the value nor the graph), which keeps reduced modes bit-identical to the
     plain-mixup trainer.
     """
     use_source = use_mixup and weights.fc > 0
-    if use_source and (x_src is None or src_pairing is None):
-        raise ValueError("source batch required when gamma_fc > 0")
     breakdown = LossBreakdown(task=_backward_now(
         task_loss(x_tgt, y_tgt, student_t, n_target_classes)))
     total = breakdown.task

@@ -34,8 +34,6 @@ def mix_rows(u: np.ndarray, v: np.ndarray, lams) -> np.ndarray:
 
 def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
     """lam ~ Beta(alpha, alpha) via two Gamma draws."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     g1 = rng.gamma(alpha, 1.0)
     g2 = rng.gamma(alpha, 1.0)
     if g1 + g2 == 0.0:
@@ -53,6 +51,4 @@ def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
 def pair_batch(batch_size: int, rng: np.random.Generator) -> np.ndarray:
     """Partner index j for each batch element i; a uniform permutation,
     self-pairs permitted."""
-    if batch_size < 1:
-        raise ValueError("batch must be non-empty")
     return rng.permutation(batch_size)

@@ -389,8 +389,6 @@ def sgd_step(params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray],
 
     v <- momentum*v + (grad + wd*param); param <- param - lr*v.
     """
-    if lr <= 0:
-        raise ValueError("lr must be positive")
     for name, param in params.items():
         g = grads[name]
         check_finite(g, f"gradient of {name}")

@@ -82,8 +82,8 @@ class TrainConfig:
             raise ValueError("grad_clip must be >= 0")
         if not self.lr_drop_factor > 0:
             raise ValueError("lr_drop_factor must be > 0")
-        # learning_rate_at's rate after the drop: sgd_step refuses it at 0,
-        # and at inf the first step after the drop diverges
+        # learning_rate_at's rate after the drop: at 0 no step after the
+        # drop moves the weights, and at inf the first one diverges
         if not 0 < self.lr / self.lr_drop_factor < math.inf:
             raise ValueError("lr / lr_drop_factor must be > 0 and finite")
         if not self.lr_drop_fraction >= 0:
@@ -330,8 +330,6 @@ def run_ablation_suite(pretrained: model.ModelWeights, target_train: Dataset,
     Returns (per-run rows, {mode: (mean, std)}).
     """
     seeds = list(seeds)
-    if len(seeds) < 2:
-        raise ValueError("need at least two seeds")
     rows: List[AblationRow] = []
     for mode in modes:
         for seed in seeds:

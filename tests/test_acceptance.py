@@ -196,7 +196,7 @@ def test_criterion_2_affine_zero_il(il_dataset):
     for layer in ("label", "feature"):
         report = interp.estimate_IL(
             _affine_fn(seed=1), il_dataset,
-            interp.ILConfig(layer=layer, delta_low=0.5, delta_high=1.0,
+            interp.ILConfig(delta_low=0.5, delta_high=1.0,
                             n_pairs=50, seed=0))
         worst = max(worst, report.mean)
     elapsed = time.time() - t0
@@ -317,7 +317,7 @@ def campaign():
             accs.append(train.accuracy(student, target_test))
             report = interp.estimate_IL(
                 interp.model_output_fn(student, "feature"), target_test,
-                interp.ILConfig(layer="feature", seed=seed))
+                interp.ILConfig(seed=seed))
             ils.append(report.mean)
             if seed == 0:
                 students[mode] = student

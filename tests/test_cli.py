@@ -483,9 +483,26 @@ def test_diagnose_matches_independent_estimates(workdir, tmp_path, checkpoint):
                                          weights)
     for layer, fn in (("label", logits),
                       ("feature", lambda x: model.feature_extract(x, weights))):
-        expected = interpolation.estimate_IL(
-            fn, target_test, dataclasses.replace(diagnostics, layer=layer))
+        expected = interpolation.estimate_IL(fn, target_test, diagnostics)
         assert report[layer] == dataclasses.asdict(expected)
+
+
+@pytest.mark.parametrize("argv, estimates", [
+    (["--affine-stub"], 1), (["--checkpoint", "{out}/pretrained.ckpt"], 2)],
+    ids=["affine-stub", "checkpoint"])
+def test_diagnose_estimates_each_distinct_output_once(workdir, monkeypatch,
+                                                      argv, estimates):
+    # the stub's logits are its features: one estimate is both reports
+    out, run = workdir
+    run("gen-data")
+    run("pretrain")
+    calls, estimate_IL = [], interpolation.estimate_IL
+    monkeypatch.setattr(interpolation, "estimate_IL",
+                        lambda *a: calls.append(1) or estimate_IL(*a))
+    assert run("diagnose", *(a.format(out=out) for a in argv))[0] == 0
+    assert len(calls) == estimates
+    report = json.loads((out / "il_report.json").read_text())
+    assert (report["label"] == report["feature"]) == (estimates == 1)
 
 
 @pytest.fixture(scope="module")
@@ -627,6 +644,18 @@ def _initial_weights(name, update):
                  id="diagnose-a-checkpoint-and-the-affine-stub"),
     pytest.param({}, ["gen-data", "ablation_seeds=[0]"], "ConfigError",
                  id="ablation-of-one-seed"),
+    # each refused by the dataclass that declares it, before any command
+    *(pytest.param({}, ["gen-data", override], "ConfigError", id=override)
+      for override in ["train.alpha=0", "pretrain.alpha=0",
+                       "train.batch_size=0", "pretrain.batch_size=0",
+                       "train.lr=0", "pretrain.lr=0", "train.gamma_fc=-0.1",
+                       "subsample_rate=0", "subsample_rate=-0.2",
+                       "subsample_rate=1.5"]),
+    pytest.param({"out": "data", "out/pretrained.ckpt": model.init_weights(
+                      model.Architecture(), 0),
+                  "out/source_train.bin": data.Dataset(
+                      np.zeros((0, 16, 16, 1)), np.zeros(0), 20)},
+                 ["train"], "ValueError", id="SMILE-without-source-samples"),
 ])
 def test_cli_errors_are_one_json_line(generated, tmp_path, monkeypatch, capsys,
                                       prepare, argv, error):

@@ -1,7 +1,10 @@
+import json
+from dataclasses import fields
+
 import pytest
 
-from smile_lab.config import (ConfigError, ExperimentConfig, apply_overrides,
-                              build_config, load_config)
+from smile_lab.config import (_SECTIONS, ConfigError, ExperimentConfig,
+                              apply_overrides, build_config, load_config)
 
 
 def test_defaults():
@@ -35,8 +38,9 @@ def test_invalid_section_values_rejected():
         build_config({"train": {"iterations": 0}})
     with pytest.raises(ConfigError):
         build_config({"train": {"iterations": "many"}})
-    with pytest.raises(ConfigError):
-        build_config({"subsample_rate": 0.0})
+    for rate in (0.0, -0.2, 1.5):
+        with pytest.raises(ConfigError):
+            build_config({"subsample_rate": rate})
     with pytest.raises(ConfigError):
         build_config({"ablation_modes": ["FT", "MAGIC"]})
 
@@ -138,10 +142,29 @@ def test_override_bool_and_string():
     assert cfg.output_dir == "elsewhere"
 
 
+# {dotted key: default} for each field of ExperimentConfig and of every
+# section dataclass
+DEFAULTS = {
+    **{f.name: getattr(ExperimentConfig(), f.name)
+       for f in fields(ExperimentConfig) if f.name not in _SECTIONS},
+    **{f"{section}.{f.name}": getattr(cls(), f.name)
+       for section, cls in _SECTIONS.items() for f in fields(cls)}}
+
+
+@pytest.mark.parametrize("key, default", DEFAULTS.items(), ids=list(DEFAULTS))
+def test_every_field_takes_its_default_by_override(key, default):
+    # a declared field that no override can set is not a setting
+    target = load_config(None, [f"{key}={json.dumps(default)}"])
+    for part in key.split("."):
+        target = getattr(target, part)
+    assert target == default
+    assert type(target) is type(default)
+
+
 @pytest.mark.parametrize("override", ["diagnostics.layer=feature",
                                       "diagnostics.layer=label"])
 def test_diagnostics_layer_is_refused(override, tmp_path):
-    # diagnose estimates both layers, so a set layer would be ignored
+    # diagnose estimates both layers, so ILConfig declares no layer
     with pytest.raises(ConfigError, match="diagnostics.layer"):
         load_config(None, [override])
     path = tmp_path / "exp.yaml"
@@ -171,7 +194,8 @@ def test_step_settings_validated(override):
     ("train", "momentum", -5.0), ("pretrain", "momentum", -0.1),
     ("train", "weight_decay", -1e-4), ("pretrain", "weight_decay", -1e-4),
     ("task", "channels", 0), ("task", "samples_per_class", 0),
-    ("task", "n_target_classes", 0)])
+    ("task", "n_target_classes", 0), ("train", "gamma_fe", -0.1),
+    ("train", "gamma_fc", -0.1)])
 def test_field_values_validated(section, key, value):
     with pytest.raises(ConfigError):
         load_config(None, [f"{section}.{key}={value}"])

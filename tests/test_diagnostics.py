@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -24,8 +23,6 @@ def test_config_validation():
         interp.ILConfig(delta_low=0.8, delta_high=0.5)
     with pytest.raises(ValueError):
         interp.ILConfig(n_pairs=0)
-    with pytest.raises(ValueError):
-        interp.ILConfig(layer="pixels")
 
 
 class _DegeneratePair(Exception):
@@ -318,7 +315,7 @@ _WEIGHTS = model.init_weights(model.Architecture(), seed=3,
     (_label_fn(_WEIGHTS),
      interp.ILConfig(n_pairs=15, seed=1)),
     (interp.model_output_fn(_WEIGHTS, "feature"),
-     interp.ILConfig(layer="feature", n_pairs=15, seed=2)),
+     interp.ILConfig(n_pairs=15, seed=2)),
     (_step_fn, interp.ILConfig(n_pairs=30, seed=4)),
     (lambda x: np.tanh(_affine_fn(seed=5)(x)),
      interp.ILConfig(delta_low=0.0, delta_high=1.0, n_pairs=20,
@@ -392,9 +389,8 @@ def test_il_bytes_bound_what_the_feature_closure_keeps(dataset):
     logits = lambda x: model.head_logits(features(x), _WEIGHTS)
 
     def estimates():
-        for layer, fn in (("label", logits), ("feature", features)):
-            interp.estimate_IL(fn, dataset,
-                               dataclasses.replace(cfg, layer=layer))
+        for fn in (logits, features):
+            interp.estimate_IL(fn, dataset, cfg)
 
     one_batch = lambda: _label_fn(_WEIGHTS)(batch)
     one_batch()         # a first call allocates what later calls reuse

@@ -215,8 +215,11 @@ def test_train_rejects_empty_target(pretrained):
 
 def test_train_requires_source_for_fc(pretrained, datasets):
     _, tgt, _ = datasets
-    with pytest.raises(ValueError):
-        train.train(pretrained, tgt, None, _cfg(mode="SMILE"))
+    empty = data.Dataset(np.zeros((0, 16, 16, 1)), np.zeros(0, dtype=int),
+                         20)
+    for source in (None, empty):
+        with pytest.raises(ValueError, match="source dataset required"):
+            train.train(pretrained, tgt, source, _cfg(mode="SMILE"))
 
 
 def test_pretrain_rejects_empty():
@@ -454,13 +457,6 @@ def test_ablation_suite_shape(pretrained, datasets):
     assert set(summary) == {"FT", "D-SMILE"}
     for mean, std in summary.values():
         assert 0.0 <= mean <= 1.0 and std >= 0.0
-
-
-def test_ablation_suite_needs_two_seeds(pretrained, datasets):
-    src, tgt, tst = datasets
-    with pytest.raises(ValueError):
-        train.run_ablation_suite(pretrained, tgt, tst, src, _cfg(),
-                                 modes=["FT"], seeds=[0])
 
 
 def test_metrics_csv_round_trip(tmp_path, pretrained, datasets):
