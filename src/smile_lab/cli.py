@@ -100,7 +100,7 @@ def cmd_train(cfg: ExperimentConfig, args) -> None:
         "target_test")
     student, metrics = train.train(pretrained, target_train, source_train,
                                    cfg.train, target_test)
-    acc = train.final_accuracy(student, metrics, target_test, cfg.train)
+    acc = metrics.eval_rows[-1]["test_acc"]
     mode = cfg.train.mode
     ckpt = out / f"student_{mode}.ckpt"
     model.save_checkpoint(student, ckpt)
@@ -162,7 +162,7 @@ def cmd_diagnose(cfg: ExperimentConfig, args) -> None:
     idx = rng.choice(len(target_test), size=2 * n_pairs, replace=False)
     pairs = [(target_test.inputs[idx[2 * i]], target_test.inputs[idx[2 * i + 1]])
              for i in range(n_pairs)]
-    rows, _ = interpolation.feature_interp_trajectory(feature_fn, pairs)
+    rows = interpolation.feature_interp_trajectory(feature_fn, pairs)
     payload = {"model": "affine-stub" if ckpt is None else str(ckpt),
                **{layer: dataclasses.asdict(r) for layer, r in reports.items()}}
     with atomic_write(out / "il_report.json") as fh:

@@ -165,26 +165,23 @@ def model_output_fn(weights: model.ModelWeights, layer: str):
     return features
 
 
-def pca_2d(points: np.ndarray):
+def pca_2d(points: np.ndarray) -> np.ndarray:
     """Mean-centered projection onto the top-2 principal directions.
 
     Sign convention: first nonzero loading of each component is positive.
-    Returns (projected (n, 2), explained variance fractions (2,)).
+    Returns the projected points, (n, 2).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 2 or points.shape[1] < 2:
         raise ValueError("need at least 2 points of dimension >= 2")
     centered = points - points.mean(axis=0)
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
     comps = vt[:2]
     for r in range(comps.shape[0]):
         nonzero = np.flatnonzero(np.abs(comps[r]) > 1e-12)
         if len(nonzero) and comps[r, nonzero[0]] < 0:
             comps[r] = -comps[r]
-    eigvals = s ** 2 / (points.shape[0] - 1)
-    total_var = centered.var(axis=0, ddof=1).sum()
-    explained = eigvals[:2] / total_var if total_var > 0 else np.zeros(2)
-    return centered @ comps.T, explained
+    return centered @ comps.T
 
 
 @dataclass
@@ -197,21 +194,19 @@ class TrajectoryPoint:
 
 def feature_interp_trajectory(
         feature_fn: Callable[[np.ndarray], np.ndarray],
-        image_pairs: Sequence[tuple]):
+        image_pairs: Sequence[tuple]) -> List[TrajectoryPoint]:
     """Feature-space trajectories of mixed inputs, PCA-projected to 2-D.
 
-    Returns (rows, explained variance fractions); one row per
-    (pair, coefficient of TRAJECTORY_COEFFICIENTS)."""
+    Returns one row per (pair, coefficient of TRAJECTORY_COEFFICIENTS)."""
     if len(image_pairs) < 1:
         raise ValueError("need at least one image pair")
     batch = np.concatenate([mix_rows(a, b, TRAJECTORY_COEFFICIENTS)
                             for a, b in image_pairs])
-    projected, explained = pca_2d(feature_fn(batch))
+    projected = pca_2d(feature_fn(batch))
     points = itertools.product(range(len(image_pairs)),
                                TRAJECTORY_COEFFICIENTS)
-    rows = [TrajectoryPoint(pair_id, float(lam), float(x), float(y))
+    return [TrajectoryPoint(pair_id, float(lam), float(x), float(y))
             for (pair_id, lam), (x, y) in zip(points, projected, strict=True)]
-    return rows, explained
 
 
 def write_trajectory_csv(rows: List[TrajectoryPoint], path) -> None:

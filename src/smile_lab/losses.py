@@ -113,10 +113,10 @@ def total_objective(student_t: Dict[str, T.Tensor],
                     teacher: model.ModelWeights | None,
                     x_tgt: np.ndarray, y_tgt: np.ndarray,
                     x_src: np.ndarray | None, n_target_classes: int,
-                    lam: float, tgt_pairing: np.ndarray,
+                    lam: float | None, tgt_pairing: np.ndarray | None,
                     src_pairing: np.ndarray | None,
-                    weights: LossWeights, use_mixup: bool):
-    """Task cross-entropy plus, with use_mixup, the triplet regularizer
+                    weights: LossWeights) -> LossBreakdown:
+    """Task cross-entropy plus, when lam is not None, the triplet regularizer
     L_mxp + gamma_fe * L_fe + gamma_fc * L_fc, backpropagated into the
     leaves of student_t pass by pass: the clean target batch (task), the
     mixed target batch (L_mxp + gamma_fe * L_fe), then the mixed source
@@ -126,26 +126,25 @@ def total_objective(student_t: Dict[str, T.Tensor],
     Backward from the sum of the three losses visits them in the same order
     with the same seeds, so the leaf gradients have the same bits.
 
-    Returns (total, breakdown); total is a parentless Tensor holding the
-    objective's value. One lam mixes the target and the source batch;
-    x_src and src_pairing are read only when use_mixup and weights.fc > 0.
-    Terms with zero weight are skipped entirely (they contribute neither to
-    the value nor the graph), which keeps reduced modes bit-identical to the
-    plain-mixup trainer.
+    Returns the breakdown; its total is the objective's value. One lam
+    mixes the target and the source batch; x_src and src_pairing are read
+    only when lam is not None and weights.fc > 0. Terms with zero weight
+    are skipped entirely (they contribute neither to the value nor the
+    graph), which keeps reduced modes bit-identical to the plain-mixup
+    trainer.
     """
-    use_source = use_mixup and weights.fc > 0
     breakdown = LossBreakdown(task=_backward_now(
         task_loss(x_tgt, y_tgt, student_t, n_target_classes)))
     total = breakdown.task
-    if use_mixup:
+    if lam is not None:
         triplet = _backward_now(mixed_loss(
             student_t, "tgt", teacher, x_tgt, y_tgt, n_target_classes, lam,
             tgt_pairing, weights.fe, breakdown))
-        if use_source:
+        if weights.fc > 0:
             fc = source_label_mixup_loss(x_src, student_t, teacher, lam,
                                          src_pairing)
             breakdown.fc = float(fc.values)
             triplet += _backward_now(T.scale(fc, weights.fc))
         total += triplet
     breakdown.total = total
-    return T.Tensor(total), breakdown
+    return breakdown

@@ -1,4 +1,4 @@
-"""The mix rule, Beta coefficient sampling, and batch pairing.
+"""The mix rule and Beta coefficient sampling.
 
 Convention: mix(u, v, lam) = (1 - lam) * u + lam * v, so lam = 0 returns u.
 """
@@ -46,9 +46,3 @@ def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
         e = math.exp(-abs(d))       # 1 / (1 + exp(d)) without an overflow
         return 1.0 / (1.0 + e) if d < 0 else e / (1.0 + e)
     return float(g1 / (g1 + g2))
-
-
-def pair_batch(batch_size: int, rng: np.random.Generator) -> np.ndarray:
-    """Partner index j for each batch element i; a uniform permutation,
-    self-pairs permitted."""
-    return rng.permutation(batch_size)

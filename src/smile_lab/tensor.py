@@ -298,8 +298,8 @@ def softmax_cross_entropy(logits: Tensor, targets: Tensor) -> Tensor:
     """Mean over the batch of -sum(target * log softmax(logits)).
 
     Targets must be rows of probability distributions (sum 1 within 1e-9).
-    Stabilized by max subtraction; targets are typically constants but the
-    gradient with respect to them is propagated too.
+    Stabilized by max subtraction. Targets are data: no gradient reaches
+    them, and the logits are the node's only parent.
     """
     if logits.values.shape != targets.values.shape:
         raise ValueError("logits/targets shape mismatch")
@@ -317,9 +317,8 @@ def softmax_cross_entropy(logits: Tensor, targets: Tensor) -> Tensor:
     def backward(g):
         softmax = np.exp(log_probs)
         logits._accumulate(float(g) * (softmax - targets.values) / n)
-        targets._accumulate(float(g) * (-log_probs) / n)
 
-    return Tensor(out_vals, (logits, targets), backward)
+    return Tensor(out_vals, (logits,), backward)
 
 
 def softmax(logits: Tensor) -> Tensor:

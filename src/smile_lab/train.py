@@ -13,7 +13,7 @@ from . import data, model, tensor as T
 from .data import Dataset
 from .losses import LossBreakdown, LossWeights, mixed_loss, total_objective
 # mix is unused here; perfbench/tests/test_spans.py wraps train.mix
-from .mixup import mix, pair_batch, sample_lambda  # noqa: F401
+from .mixup import mix, sample_lambda  # noqa: F401
 
 # Per-mode effective settings: (use_mixup, use_fe_term, use_fc_term, teacher)
 _MODE_TABLE = {
@@ -201,7 +201,7 @@ def pretrain_source(dataset: Dataset, config: PretrainConfig) -> model.ModelWeig
         # samples, which the fine-tuning regularizers assume; a plain-CE
         # source model starts with a huge source-domain penalty.
         lam = sample_lambda(config.alpha, rng)
-        pairing = pair_batch(len(x), rng)
+        pairing = rng.permutation(len(x))
 
         def objective(wt):
             T.backward(mixed_loss(wt, "src", None, x, y, dataset.n_classes,
@@ -243,7 +243,12 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
           source_train: Dataset | None, config: TrainConfig,
           target_test: Dataset | None = None):
     """Fine-tune the student for config.iterations steps; returns
-    (student weights, Metrics)."""
+    (student weights, Metrics).
+
+    The student is evaluated after every config.eval_every-th iteration
+    (none at 0) and always after the last one, so the last eval row holds
+    the run's final accuracy.
+    """
     if len(target_train) == 0:
         raise ValueError("target dataset is empty")
     use_mixup, use_fe, use_fc, teacher_kind = _MODE_TABLE[config.mode]
@@ -275,15 +280,15 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
         x_src = src_pairing = None
         if use_mixup:
             lam = sample_lambda(config.alpha, rng)
-            tgt_pairing = pair_batch(len(x), rng)
+            tgt_pairing = rng.permutation(len(x))
         if needs_source:
             x_src, _ = _sample_batch(source_train, config.batch_size, rng)
-            src_pairing = pair_batch(len(x_src), rng)
+            src_pairing = rng.permutation(len(x_src))
 
         def objective(wt):
             return total_objective(
                 wt, teacher, x, y, x_src, n_tgt_classes, lam, tgt_pairing,
-                src_pairing, eff_weights, use_mixup)[1]
+                src_pairing, eff_weights)
 
         with diverges_at(k, "training"):
             breakdown = _training_step(student, objective, state, lr,
@@ -292,8 +297,8 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
 
         metrics.loss_rows.append({"iteration": k, "lr": lr,
                                   **asdict(breakdown)})
-        if config.eval_every and (k % config.eval_every == 0
-                                  or k == config.iterations):
+        if k == config.iterations or (config.eval_every
+                                      and k % config.eval_every == 0):
             with diverges_at(k, "evaluation"):
                 row = {"iteration": k,
                        "train_acc": accuracy(student, target_train)}
@@ -301,17 +306,6 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
                     row["test_acc"] = accuracy(student, target_test)
             metrics.eval_rows.append(row)
     return student, metrics
-
-
-def final_accuracy(student: model.ModelWeights, metrics: Metrics,
-                   target_test: Dataset, config: TrainConfig) -> float:
-    """Test accuracy after the last iteration: train()'s own evaluation of
-    that iteration if it made one, else one evaluation now."""
-    last = metrics.eval_rows[-1] if metrics.eval_rows else {}
-    if last.get("iteration") == config.iterations:
-        return last["test_acc"]
-    with diverges_at(config.iterations, "evaluation"):
-        return accuracy(student, target_test)
 
 
 @dataclass
@@ -334,11 +328,10 @@ def run_ablation_suite(pretrained: model.ModelWeights, target_train: Dataset,
     for mode in modes:
         for seed in seeds:
             cfg = replace(base_config, mode=mode, seed=seed)
-            weights, metrics = train(pretrained, target_train, source_train,
-                                     cfg, target_test)
-            rows.append(AblationRow(
-                mode, seed,
-                final_accuracy(weights, metrics, target_test, cfg)))
+            _, metrics = train(pretrained, target_train, source_train, cfg,
+                               target_test)
+            rows.append(AblationRow(mode, seed,
+                                    metrics.eval_rows[-1]["test_acc"]))
     summary = {}
     for mode in modes:
         accs = np.array([r.test_accuracy for r in rows if r.mode == mode])

@@ -64,12 +64,11 @@ def _objective_closure():
     def f(vec):
         wt = {n: T.Tensor(v) for n, v in
               _unpack(vec, template, names).items()}
-        total, _ = losses.total_objective(wt, teacher, x, y, x_src, 2, 0.4,
-                                          pairing, pairing, weights, True)
-        T.backward(total)
+        breakdown = losses.total_objective(wt, teacher, x, y, x_src, 2, 0.4,
+                                           pairing, pairing, weights)
         grads = {n: (wt[n].grad if wt[n].grad is not None
                      else np.zeros_like(wt[n].values)) for n in names}
-        return float(total.values), _pack(grads, names)
+        return breakdown.total, _pack(grads, names)
 
     return f, template, names
 
@@ -364,9 +363,9 @@ def test_criterion_5_reduction_identities(campaign):
     x = rng.uniform(size=(6, 16, 16, 1))
     y = np.array([0, 1, 2, 3, 4, 0])
     pairing = np.array([3, 4, 5, 0, 1, 2])
-    _, breakdown = losses.total_objective(
+    breakdown = losses.total_objective(
         model.as_tensors(student), None, x, y, None, 5, 0.0, pairing, None,
-        losses.LossWeights(fe=0.0, fc=0.0), True)
+        losses.LossWeights(fe=0.0, fc=0.0))
     ok_lam0 = breakdown.mxp == breakdown.task
 
     u = rng.normal(size=(4, 7))
@@ -409,7 +408,7 @@ def test_criterion_9_trajectory(campaign, tmp_path):
     pairs = [(test_set.inputs[2 * i], test_set.inputs[2 * i + 1])
              for i in range(4)]
 
-    rows, _ = interp.feature_interp_trajectory(_affine_fn(seed=5), pairs)
+    rows = interp.feature_interp_trajectory(_affine_fn(seed=5), pairs)
     worst = 0.0
     for pair_id in range(4):
         pts = np.array([[r.x, r.y] for r in rows if r.pair_id == pair_id])
@@ -421,7 +420,7 @@ def test_criterion_9_trajectory(campaign, tmp_path):
     ok_affine = worst <= 1e-8
 
     student = campaign["students"]["SMILE"]
-    rows, _ = interp.feature_interp_trajectory(
+    rows = interp.feature_interp_trajectory(
         interp.model_output_fn(student, "feature"), pairs)
     path = tmp_path / "pca_traj.csv"
     interp.write_trajectory_csv(rows, path)

@@ -458,12 +458,16 @@ def test_train_reports_last_evaluation(workdir, monkeypatch):
     accuracy = train.accuracy
     monkeypatch.setattr(train, "accuracy",
                         lambda *a, **k: calls.append(1) or accuracy(*a, **k))
-    code, stdout, _ = run("train", "train.mode=FT", "train.eval_every=4")
-    assert code == 0
-    # evaluations after iterations 4 and 6, on train and test sets
-    assert len(calls) == 4
-    last = (out / "metrics_FT.csv").read_text().splitlines()[-1].split(",")
-    assert f"test accuracy {float(last[-1]):.4f}" in stdout
+    # evaluations after iterations 4 and 6, or after 6 alone, on train and
+    # test sets
+    for eval_every, n_calls in (4, 4), (0, 2):
+        calls.clear()
+        code, stdout, _ = run("train", "train.mode=FT",
+                              f"train.eval_every={eval_every}")
+        assert code == 0
+        assert len(calls) == n_calls
+        last = (out / "metrics_FT.csv").read_text().splitlines()[-1]
+        assert f"test accuracy {float(last.split(',')[-1]):.4f}" in stdout
 
 
 @pytest.mark.parametrize("checkpoint", [None, "pretrained.ckpt"])

@@ -186,11 +186,9 @@ def test_model_output_fn_layers(dataset):
 
 
 def test_pca_oracle_known_points():
-    # points along the x-axis in 2-D: first component explains everything
+    # points along the x-axis in 2-D: the first component holds them all
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    proj, explained = interp.pca_2d(pts)
-    assert explained[0] == pytest.approx(1.0, abs=1e-12)
-    assert explained[1] == pytest.approx(0.0, abs=1e-12)
+    proj = interp.pca_2d(pts)
     assert np.allclose(proj[:, 0], [-1.5, -0.5, 0.5, 1.5], atol=1e-9)
     assert np.allclose(proj[:, 1], 0.0, atol=1e-12)
 
@@ -198,9 +196,8 @@ def test_pca_oracle_known_points():
 def test_pca_variance_preserved():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(40, 2))
-    proj, explained = interp.pca_2d(pts)
+    proj = interp.pca_2d(pts)
     # 2-d data projected to 2-d keeps all variance
-    assert explained.sum() == pytest.approx(1.0, abs=1e-9)
     assert proj.var(axis=0, ddof=1).sum() == pytest.approx(
         pts.var(axis=0, ddof=1).sum(), rel=1e-9)
 
@@ -208,8 +205,8 @@ def test_pca_variance_preserved():
 def test_pca_sign_convention_stable():
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(30, 10))
-    p1, _ = interp.pca_2d(pts)
-    p2, _ = interp.pca_2d(pts * 1.0)
+    p1 = interp.pca_2d(pts)
+    p2 = interp.pca_2d(pts * 1.0)
     assert np.array_equal(p1, p2)
 
 
@@ -224,12 +221,11 @@ def test_trajectory_rows_per_pair(dataset):
     pairs = [(dataset.inputs[0], dataset.inputs[1]),
              (dataset.inputs[2], dataset.inputs[3]),
              (dataset.inputs[4], dataset.inputs[5])]
-    rows, explained = interp.feature_interp_trajectory(_affine_fn(), pairs)
+    rows = interp.feature_interp_trajectory(_affine_fn(), pairs)
     assert len(rows) == 3 * len(interp.TRAJECTORY_COEFFICIENTS)
     for pair_id in range(3):
         lams = [r.lam for r in rows if r.pair_id == pair_id]
         assert lams == list(interp.TRAJECTORY_COEFFICIENTS)
-    assert explained.shape == (2,)
 
 
 def test_trajectory_affine_model_collinear(dataset):
@@ -237,7 +233,7 @@ def test_trajectory_affine_model_collinear(dataset):
     and PCA preserves that."""
     pairs = [(dataset.inputs[0], dataset.inputs[1]),
              (dataset.inputs[2], dataset.inputs[3])]
-    rows, _ = interp.feature_interp_trajectory(_affine_fn(seed=8), pairs)
+    rows = interp.feature_interp_trajectory(_affine_fn(seed=8), pairs)
     for pair_id in range(2):
         pts = np.array([[r.x, r.y] for r in rows if r.pair_id == pair_id])
         v0 = pts[1] - pts[0]
@@ -253,7 +249,7 @@ def test_trajectory_requires_pairs():
 
 def test_trajectory_csv(tmp_path, dataset):
     pairs = [(dataset.inputs[0], dataset.inputs[1])]
-    rows, _ = interp.feature_interp_trajectory(_affine_fn(), pairs)
+    rows = interp.feature_interp_trajectory(_affine_fn(), pairs)
     path = tmp_path / "traj.csv"
     interp.write_trajectory_csv(rows, path)
     lines = path.read_text().strip().split("\n")

@@ -114,9 +114,8 @@ def _feature_term_oracle(student, teacher, lam):
 def test_feature_mixup_loss_zero_when_teacher_matches(student):
     # lam 0 keeps inputs unmixed, so identical weights give a zero residual
     wt = model.as_tensors(student)
-    _, bd = losses.total_objective(wt, student, X, Y, None, 5, 0.0, PAIR,
-                                   None, losses.LossWeights(fe=1.0, fc=0.0),
-                                   True)
+    bd = losses.total_objective(wt, student, X, Y, None, 5, 0.0, PAIR, None,
+                                losses.LossWeights(fe=1.0, fc=0.0))
     assert bd.fe == 0.0
 
 
@@ -126,9 +125,8 @@ def test_feature_mixup_loss_numpy_oracle(student):
     expected = _feature_term_oracle(student, teacher, lam)
 
     wt = model.as_tensors(student)
-    _, bd = losses.total_objective(wt, teacher, X, Y, None, 5, lam, PAIR,
-                                   None, losses.LossWeights(fe=1.0, fc=0.0),
-                                   True)
+    bd = losses.total_objective(wt, teacher, X, Y, None, 5, lam, PAIR, None,
+                                losses.LossWeights(fe=1.0, fc=0.0))
     assert bd.fe == pytest.approx(expected, rel=1e-12)
 
 
@@ -160,11 +158,10 @@ def test_triplet_loss_weight_scaling(student):
     for w in (losses.LossWeights(fe=0.01, fc=0.1),
               losses.LossWeights(fe=1.0, fc=0.0),
               losses.LossWeights(fe=0.0, fc=2.5)):
-        total, bd = losses.total_objective(model.as_tensors(student), teacher,
-                                           X, Y, X_SRC, 5, lam, PAIR, PAIR, w,
-                                           True)
+        bd = losses.total_objective(model.as_tensors(student), teacher, X, Y,
+                                    X_SRC, 5, lam, PAIR, PAIR, w)
         expected = task + mxp + w.fe * fe + w.fc * fc
-        assert float(total.values) == pytest.approx(expected, rel=1e-12)
+        assert bd.total == pytest.approx(expected, rel=1e-12)
         assert bd.mxp == mxp
         assert bd.fe == (pytest.approx(fe, rel=1e-12) if w.fe else 0.0)
         assert bd.fc == (fc if w.fc else 0.0)
@@ -173,12 +170,11 @@ def test_triplet_loss_weight_scaling(student):
 def test_triplet_loss_zero_weights_reduces_to_mixup(student):
     teacher = model.init_weights(ARCH, seed=2)
     wt = model.as_tensors(student)
-    total, bd = losses.total_objective(wt, teacher, X, Y, None, 5, 0.5, PAIR,
-                                       None, losses.LossWeights(fe=0.0, fc=0.0),
-                                       True)
+    bd = losses.total_objective(wt, teacher, X, Y, None, 5, 0.5, PAIR, None,
+                                losses.LossWeights(fe=0.0, fc=0.0))
     plain = _mixup_loss(wt, X, Y, 0.5, PAIR)
     assert bd.mxp == float(plain.values)
-    assert float(total.values) == bd.task + bd.mxp
+    assert bd.total == bd.task + bd.mxp
     assert bd.fe == 0.0 and bd.fc == 0.0
 
 
@@ -186,9 +182,8 @@ def test_teacher_receives_no_gradient(student, weights_equal):
     teacher = model.init_weights(ARCH, seed=2)
     before = teacher.copy()
     wt = model.as_tensors(student)
-    total, _ = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.5, PAIR,
-                                      PAIR, losses.LossWeights(), True)
-    T.backward(total)
+    losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.5, PAIR, PAIR,
+                           losses.LossWeights())
     assert wt["conv1_k"].grad is not None
     assert weights_equal(teacher, before)
 
@@ -197,20 +192,18 @@ def test_total_objective_breakdown(student):
     teacher = model.init_weights(ARCH, seed=2)
     wt = model.as_tensors(student)
     w = losses.LossWeights(fe=0.01, fc=0.1)
-    total, bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.5, PAIR,
-                                       PAIR, w, True)
+    bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.5, PAIR, PAIR,
+                                w)
     expected = bd.task + bd.mxp + w.fe * bd.fe + w.fc * bd.fc
     assert bd.total == pytest.approx(expected, rel=1e-12)
-    assert float(total.values) == bd.total
 
 
 def test_total_objective_without_mixup(student):
     wt = model.as_tensors(student)
-    total, bd = losses.total_objective(wt, None, X, Y, None, 5, 0.0,
-                                       np.arange(6), None,
-                                       losses.LossWeights(), False)
+    bd = losses.total_objective(wt, None, X, Y, None, 5, None, None, None,
+                                losses.LossWeights())
     plain = losses.task_loss(X, Y, wt, 5)
-    assert float(total.values) == float(plain.values)
+    assert bd.total == float(plain.values)
     assert bd.mxp == 0.0 and bd.fe == 0.0 and bd.fc == 0.0
 
 
@@ -246,17 +239,11 @@ def test_per_pass_backward_matches_one_graph(student, fe, fc):
     ref_total = _single_graph_reference(wt_ref, teacher, weights, 0.3,
                                         src_pair)
     wt = model.as_tensors(student)
-    total, bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.3, PAIR,
-                                       src_pair, weights, True)
-
-    def assert_reference_grads():
-        for name, ref in _grads(wt_ref).items():
-            assert np.array_equal(wt[name].grad, ref), name
-
-    assert_reference_grads()
-    T.backward(total)       # total has no parents: this adds nothing
-    assert_reference_grads()
-    assert bd.total == ref_total == float(total.values)
+    bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.3, PAIR,
+                                src_pair, weights)
+    for name, ref in _grads(wt_ref).items():
+        assert np.array_equal(wt[name].grad, ref), name
+    assert bd.total == ref_total
 
 
 @pytest.mark.parametrize("fe, fc, passes", [
@@ -279,6 +266,5 @@ def test_teacher_calls_precede_their_student_pass(student, monkeypatch, fe,
         monkeypatch.setattr(model, name, record)
     teacher = model.init_weights(ARCH, seed=2)
     losses.total_objective(model.as_tensors(student), teacher, X, Y, X_SRC, 5,
-                           0.3, PAIR, PAIR, losses.LossWeights(fe=fe, fc=fc),
-                           True)
+                           0.3, PAIR, PAIR, losses.LossWeights(fe=fe, fc=fc))
     assert calls == passes

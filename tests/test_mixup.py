@@ -139,18 +139,6 @@ def test_sample_lambda_underflow_branch_draws_beta():
     assert abs(draws.var() - 0.05) < 0.002
 
 
-def test_pair_batch_is_permutation():
-    rng = np.random.default_rng(13)
-    perm = mixup.pair_batch(10, rng)
-    assert sorted(perm.tolist()) == list(range(10))
-
-
-def test_pair_batch_deterministic():
-    a = mixup.pair_batch(32, np.random.default_rng(5))
-    b = mixup.pair_batch(32, np.random.default_rng(5))
-    assert np.array_equal(a, b)
-
-
 finite_arrays = hnp.arrays(np.float64, (3, 4),
                            elements=st.floats(-1e6, 1e6))
 

@@ -69,6 +69,22 @@ def test_softmax_cross_entropy_linear_in_target():
     assert ce(mixed) == pytest.approx(0.3 * ce(e1) + 0.7 * ce(e2), abs=1e-10)
 
 
+def test_softmax_cross_entropy_sends_no_gradient_to_its_targets():
+    rng = np.random.default_rng(3)
+    logits_values = rng.normal(size=(4, 3))
+    targets_values = np.eye(3)[[0, 2, 1, 1]]
+    grads = []
+    for targets in (T.constant(targets_values), T.Tensor(targets_values)):
+        logits = T.Tensor(logits_values)
+        T.backward(T.softmax_cross_entropy(logits, targets))
+        assert targets.grad is None
+        grads.append(logits.grad)
+    assert np.array_equal(grads[0], grads[1])
+    shifted = np.exp(logits_values - logits_values.max(axis=1, keepdims=True))
+    softmax = shifted / shifted.sum(axis=1, keepdims=True)
+    assert np.allclose(grads[1], (softmax - targets_values) / 4, atol=1e-15)
+
+
 def test_softmax_cross_entropy_rejects_non_distribution():
     with pytest.raises(ValueError):
         T.softmax_cross_entropy(T.Tensor([[0.0, 0.0]]),
@@ -101,7 +117,7 @@ def test_backward_runs_a_graph_once():
     for root in (loss, T.add(T.sum_of_squares(x), loss)):
         with pytest.raises(ValueError, match="already backpropagated"):
             T.backward(root)
-    # a parentless root, as total_objective returns, adds nothing
+    # a parentless root holding a graph's value adds nothing
     T.backward(T.Tensor(loss.values))
     for t, g in zip(leaves, grads):
         assert np.array_equal(t.grad, g)

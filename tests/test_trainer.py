@@ -13,7 +13,7 @@ import pytest
 import smile_lab
 from smile_lab import data, losses, model, train
 from smile_lab import tensor as T
-from smile_lab.mixup import mix, pair_batch, sample_lambda
+from smile_lab.mixup import mix, sample_lambda
 
 
 SPEC = data.TaskSpec(samples_per_class=8, seed=0)
@@ -144,6 +144,11 @@ def test_train_returns_metrics(pretrained, datasets):
     assert student.has_target_head
     assert metrics.eval_rows[-1]["iteration"] == 8
     assert 0.0 <= metrics.eval_rows[-1]["test_acc"] <= 1.0
+    # at eval_every=0 the one evaluation follows the last iteration
+    _, metrics = train.train(pretrained, tgt, None, _cfg(mode="FT"), tst)
+    assert [sorted(r) for r in metrics.eval_rows] == \
+        [["iteration", "test_acc", "train_acc"]]
+    assert metrics.eval_rows[0]["iteration"] == 8
 
 
 def test_train_deterministic(pretrained, datasets):
@@ -243,7 +248,7 @@ def _pretrain_source_reference(dataset, config):
         x, y = train._sample_batch(dataset, config.batch_size, rng)
         wt = model.as_tensors(weights)
         lam = sample_lambda(config.alpha, rng)
-        pairing = pair_batch(len(x), rng)
+        pairing = rng.permutation(len(x))
         feats = model.feature_extract_t(mix(x, x[pairing], lam), wt)
         logits = model.head_logits_t(feats, wt, "src")
         loss = T.add(
