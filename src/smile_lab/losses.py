@@ -17,12 +17,6 @@ from .mixup import mix
 
 
 @dataclass
-class LossWeights:
-    fe: float = 0.01
-    fc: float = 0.1
-
-
-@dataclass
 class LossBreakdown:
     task: float = 0.0
     mxp: float = 0.0
@@ -51,21 +45,26 @@ def distillation_loss(student_out: T.Tensor, teacher_out: np.ndarray,
     return T.scale(T.sum_of_squares(diff), 1.0 / len(target))
 
 
+def _ce(logits: T.Tensor, y: np.ndarray) -> T.Tensor:
+    """Cross-entropy over the head's classes: the width of logits."""
+    return T.softmax_cross_entropy(
+        logits, T.constant(one_hot(y, logits.values.shape[1])))
+
+
 def task_loss(x: np.ndarray, y: np.ndarray,
-              student_t: Dict[str, T.Tensor], n_classes: int) -> T.Tensor:
-    logits = model.head_logits_t(model.feature_extract_t(x, student_t),
-                                 student_t, "tgt")
-    return T.softmax_cross_entropy(logits, T.constant(one_hot(y, n_classes)))
+              student_t: Dict[str, T.Tensor]) -> T.Tensor:
+    return _ce(model.head_logits_t(model.feature_extract_t(x, student_t),
+                                   student_t, "tgt"), y)
 
 
 def mixed_ce(logits: T.Tensor, y_i: np.ndarray, y_j: np.ndarray,
-             n_classes: int, lam: float) -> T.Tensor:
+             lam: float) -> T.Tensor:
     """(1 - lam) * CE(logits, y_i) + lam * CE(logits, y_j), the mixup
     cross-entropy; lam = 0 and lam = 1 compute a single CE."""
-    loss_i = T.softmax_cross_entropy(logits, T.constant(one_hot(y_i, n_classes)))
+    loss_i = _ce(logits, y_i)
     if lam == 0.0:
         return loss_i
-    loss_j = T.softmax_cross_entropy(logits, T.constant(one_hot(y_j, n_classes)))
+    loss_j = _ce(logits, y_j)
     if lam == 1.0:
         return loss_j
     return T.add(T.scale(loss_i, 1.0 - lam), T.scale(loss_j, lam))
@@ -91,8 +90,8 @@ def _backward_now(loss: T.Tensor) -> float:
     return float(loss.values)
 
 
-def mixed_loss(student_t, head, teacher, x, y, n_classes, lam, pairing,
-               gamma_fe, breakdown) -> T.Tensor:
+def mixed_loss(student_t, head, teacher, x, y, lam, pairing, gamma_fe,
+               breakdown) -> T.Tensor:
     """L_mxp on the ``head`` logits plus gamma_fe * L_fe, one mixed forward
     for both: pretraining's loss ("src") and fine-tuning's mixed pass."""
     teacher_feats = (model.feature_extract(x, teacher) if gamma_fe > 0
@@ -100,7 +99,7 @@ def mixed_loss(student_t, head, teacher, x, y, n_classes, lam, pairing,
     student_feats = model.feature_extract_t(mix(x, x[pairing], lam),
                                             student_t)
     loss = mixed_ce(model.head_logits_t(student_feats, student_t, head),
-                    y, y[pairing], n_classes, lam)
+                    y, y[pairing], lam)
     breakdown.mxp = float(loss.values)
     if gamma_fe > 0:
         fe = distillation_loss(student_feats, teacher_feats, pairing, lam)
@@ -112,10 +111,10 @@ def mixed_loss(student_t, head, teacher, x, y, n_classes, lam, pairing,
 def total_objective(student_t: Dict[str, T.Tensor],
                     teacher: model.ModelWeights | None,
                     x_tgt: np.ndarray, y_tgt: np.ndarray,
-                    x_src: np.ndarray | None, n_target_classes: int,
-                    lam: float | None, tgt_pairing: np.ndarray | None,
+                    x_src: np.ndarray | None, lam: float | None,
+                    tgt_pairing: np.ndarray | None,
                     src_pairing: np.ndarray | None,
-                    weights: LossWeights) -> LossBreakdown:
+                    gamma_fe: float, gamma_fc: float) -> LossBreakdown:
     """Task cross-entropy plus, when lam is not None, the triplet regularizer
     L_mxp + gamma_fe * L_fe + gamma_fc * L_fc, backpropagated into the
     leaves of student_t pass by pass: the clean target batch (task), the
@@ -128,23 +127,23 @@ def total_objective(student_t: Dict[str, T.Tensor],
 
     Returns the breakdown; its total is the objective's value. One lam
     mixes the target and the source batch; x_src and src_pairing are read
-    only when lam is not None and weights.fc > 0. Terms with zero weight
+    only when lam is not None and gamma_fc > 0. Terms with zero weight
     are skipped entirely (they contribute neither to the value nor the
     graph), which keeps reduced modes bit-identical to the plain-mixup
     trainer.
     """
     breakdown = LossBreakdown(task=_backward_now(
-        task_loss(x_tgt, y_tgt, student_t, n_target_classes)))
+        task_loss(x_tgt, y_tgt, student_t)))
     total = breakdown.task
     if lam is not None:
         triplet = _backward_now(mixed_loss(
-            student_t, "tgt", teacher, x_tgt, y_tgt, n_target_classes, lam,
-            tgt_pairing, weights.fe, breakdown))
-        if weights.fc > 0:
+            student_t, "tgt", teacher, x_tgt, y_tgt, lam, tgt_pairing,
+            gamma_fe, breakdown))
+        if gamma_fc > 0:
             fc = source_label_mixup_loss(x_src, student_t, teacher, lam,
                                          src_pairing)
             breakdown.fc = float(fc.values)
-            triplet += _backward_now(T.scale(fc, weights.fc))
+            triplet += _backward_now(T.scale(fc, gamma_fc))
         total += triplet
     breakdown.total = total
     return breakdown

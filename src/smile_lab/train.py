@@ -11,7 +11,7 @@ import numpy as np
 
 from . import data, model, tensor as T
 from .data import Dataset
-from .losses import LossBreakdown, LossWeights, mixed_loss, total_objective
+from .losses import LossBreakdown, mixed_loss, total_objective
 # mix is unused here; perfbench/tests/test_spans.py wraps train.mix
 from .mixup import mix, sample_lambda  # noqa: F401
 
@@ -204,8 +204,8 @@ def pretrain_source(dataset: Dataset, config: PretrainConfig) -> model.ModelWeig
         pairing = rng.permutation(len(x))
 
         def objective(wt):
-            T.backward(mixed_loss(wt, "src", None, x, y, dataset.n_classes,
-                                  lam, pairing, 0.0, LossBreakdown()))
+            T.backward(mixed_loss(wt, "src", None, x, y, lam, pairing, 0.0,
+                                  LossBreakdown()))
 
         with diverges_at(k, "pretraining"):
             _training_step(weights, objective, state, config.lr,
@@ -220,15 +220,18 @@ def learning_rate_at(k: int, config: TrainConfig) -> float:
 
 def update_teacher(teacher: model.ModelWeights | None,
                    student: model.ModelWeights, k: int,
-                   config: TrainConfig,
-                   teacher_kind: str) -> model.ModelWeights | None:
+                   config: TrainConfig) -> model.ModelWeights | None:
     """Teacher refresh at the top of iteration k, before the student step.
 
     A refresh returns a new snapshot of the k-1 student's FE and source
-    head (the teacher carries no target head): a 'latest' teacher at every
-    iteration, a 'periodic' one at every multiple of P. A 'fixed' teacher
-    never changes.
+    head (the teacher carries no target head). The teacher kind is
+    config.mode's: a 'latest' teacher refreshes at every iteration, a
+    'periodic' one at every multiple of P. A 'fixed' teacher never changes,
+    and a mode without a teacher (FT, D-SMILE) returns None.
     """
+    teacher_kind = _MODE_TABLE[config.mode][3]
+    if teacher_kind is None:
+        return None
     if teacher is None or teacher_kind == "fixed":
         return teacher
     period = config.teacher_period if teacher_kind == "periodic" else 1
@@ -251,28 +254,25 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
     """
     if len(target_train) == 0:
         raise ValueError("target dataset is empty")
-    use_mixup, use_fe, use_fc, teacher_kind = _MODE_TABLE[config.mode]
-    eff_weights = LossWeights(fe=config.gamma_fe if use_fe else 0.0,
-                              fc=config.gamma_fc if use_fc else 0.0)
-    needs_source = eff_weights.fc > 0
+    use_mixup, use_fe, use_fc, _ = _MODE_TABLE[config.mode]
+    gamma_fe = config.gamma_fe if use_fe else 0.0
+    gamma_fc = config.gamma_fc if use_fc else 0.0
+    needs_source = gamma_fc > 0
     if needs_source and (source_train is None or len(source_train) == 0):
         raise ValueError("source dataset required for the source-domain term")
 
     # the target head fits the target task, not the pretrained model's
     # placeholder class count
-    n_tgt_classes = target_train.n_classes
     student, teacher = model.init_from_pretrained(model.ModelWeights(
-        replace(pretrained.arch, n_target_classes=n_tgt_classes),
+        replace(pretrained.arch, n_target_classes=target_train.n_classes),
         pretrained.params), config.seed)
-    if teacher_kind is None:
-        teacher = None
 
     rng = np.random.default_rng(config.seed)
     state: Dict[str, np.ndarray] = {}
     metrics = Metrics()
 
     for k in range(1, config.iterations + 1):
-        teacher = update_teacher(teacher, student, k, config, teacher_kind)
+        teacher = update_teacher(teacher, student, k, config)
         lr = learning_rate_at(k, config)
 
         x, y = _sample_batch(target_train, config.batch_size, rng)
@@ -286,9 +286,8 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
             src_pairing = rng.permutation(len(x_src))
 
         def objective(wt):
-            return total_objective(
-                wt, teacher, x, y, x_src, n_tgt_classes, lam, tgt_pairing,
-                src_pairing, eff_weights)
+            return total_objective(wt, teacher, x, y, x_src, lam, tgt_pairing,
+                                   src_pairing, gamma_fe, gamma_fc)
 
         with diverges_at(k, "training"):
             breakdown = _training_step(student, objective, state, lr,

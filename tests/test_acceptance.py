@@ -59,13 +59,12 @@ def _objective_closure():
     template = model.init_weights(_TINY_ARCH, seed=0,
                                   with_target_head=True).params
     names = sorted(template)
-    weights = losses.LossWeights(fe=0.01, fc=0.1)
 
     def f(vec):
         wt = {n: T.Tensor(v) for n, v in
               _unpack(vec, template, names).items()}
-        breakdown = losses.total_objective(wt, teacher, x, y, x_src, 2, 0.4,
-                                           pairing, pairing, weights)
+        breakdown = losses.total_objective(wt, teacher, x, y, x_src, 0.4,
+                                           pairing, pairing, 0.01, 0.1)
         grads = {n: (wt[n].grad if wt[n].grad is not None
                      else np.zeros_like(wt[n].values)) for n in names}
         return breakdown.total, _pack(grads, names)
@@ -266,7 +265,7 @@ def test_criterion_4_teacher_schedule():
     ok = True
     last_refresh = {n: teacher.params[n].copy() for n in teacher.params}
     for k in range(1, 101):
-        teacher = train.update_teacher(teacher, student, k, cfg, "periodic")
+        teacher = train.update_teacher(teacher, student, k, cfg)
         if k % 10 == 0:
             last_refresh = {n: student.params[n].copy()
                             for n in teacher.params}
@@ -311,9 +310,9 @@ def campaign():
         for seed in SEEDS:
             cfg = train.TrainConfig(iterations=ITERATIONS, mode=mode,
                                     seed=seed, eval_every=0)
-            student, _ = train.train(pretrained, target_train, source, cfg,
-                                     target_test)
-            accs.append(train.accuracy(student, target_test))
+            student, metrics = train.train(pretrained, target_train, source,
+                                           cfg, target_test)
+            accs.append(metrics.eval_rows[-1]["test_acc"])
             report = interp.estimate_IL(
                 interp.model_output_fn(student, "feature"), target_test,
                 interp.ILConfig(seed=seed))
@@ -364,8 +363,8 @@ def test_criterion_5_reduction_identities(campaign):
     y = np.array([0, 1, 2, 3, 4, 0])
     pairing = np.array([3, 4, 5, 0, 1, 2])
     breakdown = losses.total_objective(
-        model.as_tensors(student), None, x, y, None, 5, 0.0, pairing, None,
-        losses.LossWeights(fe=0.0, fc=0.0))
+        model.as_tensors(student), None, x, y, None, 0.0, pairing, None,
+        0.0, 0.0)
     ok_lam0 = breakdown.mxp == breakdown.task
 
     u = rng.normal(size=(4, 7))

@@ -33,27 +33,27 @@ def test_task_loss_uniform_logits(student):
     student.params["tgt_b"][:] = 0.0
     wt = model.as_tensors(student)
     out = losses.task_loss(np.zeros((4, 16, 16, 1)), np.array([0, 1, 2, 3]),
-                           wt, ARCH.n_target_classes)
+                           wt)
     assert float(out.values) == pytest.approx(np.log(5.0), abs=1e-12)
 
 
 def _mixup_loss(wt, x, y, lam, pairing):
     """The mixed-pass loss alone: mixup cross-entropy on the target head,
     no teacher and no feature term."""
-    return losses.mixed_loss(wt, "tgt", None, x, y, 5, lam, pairing, 0.0,
+    return losses.mixed_loss(wt, "tgt", None, x, y, lam, pairing, 0.0,
                              losses.LossBreakdown())
 
 
 def test_mixup_loss_lambda_zero_is_task_loss(student):
     wt = model.as_tensors(student)
-    plain = losses.task_loss(X, Y, wt, 5)
+    plain = losses.task_loss(X, Y, wt)
     mixed = _mixup_loss(wt, X, Y, 0.0, PAIR)
     assert float(mixed.values) == float(plain.values)
 
 
 def test_mixup_loss_lambda_one_is_paired_task_loss(student):
     wt = model.as_tensors(student)
-    plain = losses.task_loss(X[PAIR], Y[PAIR], wt, 5)
+    plain = losses.task_loss(X[PAIR], Y[PAIR], wt)
     mixed = _mixup_loss(wt, X, Y, 1.0, PAIR)
     assert float(mixed.values) == float(plain.values)
 
@@ -63,7 +63,7 @@ def test_mixup_loss_identity_pairing_collapses(student):
     wt = model.as_tensors(student)
     ident = np.arange(6)
     mixed = _mixup_loss(wt, X, Y, 0.5, ident)
-    plain = losses.task_loss(X, Y, wt, 5)
+    plain = losses.task_loss(X, Y, wt)
     assert float(mixed.values) == pytest.approx(float(plain.values), abs=1e-12)
 
 
@@ -98,10 +98,23 @@ def test_mixup_loss_on_the_source_head_matches_oracle(student):
 
     wt = model.as_tensors(student)
     breakdown = losses.LossBreakdown()
-    out = losses.mixed_loss(wt, "src", None, X_SRC, y_src,
-                            ARCH.n_source_classes, lam, PAIR, 0.0, breakdown)
+    out = losses.mixed_loss(wt, "src", None, X_SRC, y_src, lam, PAIR, 0.0,
+                            breakdown)
     assert float(out.values) == pytest.approx(expected, abs=1e-10)
     assert breakdown.mxp == float(out.values)
+
+
+def test_a_label_at_the_head_width_is_out_of_range(student):
+    # the class count of a loss is the width of the head it trains
+    wt = model.as_tensors(student)
+    y_tgt = np.array([0, 1, 2, 3, 4, ARCH.n_target_classes])
+    with pytest.raises(ValueError, match="label out of range"):
+        losses.total_objective(wt, None, X, y_tgt, None, None, None, None,
+                               0.0, 0.0)
+    y_src = np.array([0, 7, 19, 3, 12, ARCH.n_source_classes])
+    with pytest.raises(ValueError, match="label out of range"):
+        losses.mixed_loss(wt, "src", None, X_SRC, y_src, 0.25, PAIR, 0.0,
+                          losses.LossBreakdown())
 
 
 def _feature_term_oracle(student, teacher, lam):
@@ -114,8 +127,8 @@ def _feature_term_oracle(student, teacher, lam):
 def test_feature_mixup_loss_zero_when_teacher_matches(student):
     # lam 0 keeps inputs unmixed, so identical weights give a zero residual
     wt = model.as_tensors(student)
-    bd = losses.total_objective(wt, student, X, Y, None, 5, 0.0, PAIR, None,
-                                losses.LossWeights(fe=1.0, fc=0.0))
+    bd = losses.total_objective(wt, student, X, Y, None, 0.0, PAIR, None,
+                                1.0, 0.0)
     assert bd.fe == 0.0
 
 
@@ -125,8 +138,8 @@ def test_feature_mixup_loss_numpy_oracle(student):
     expected = _feature_term_oracle(student, teacher, lam)
 
     wt = model.as_tensors(student)
-    bd = losses.total_objective(wt, teacher, X, Y, None, 5, lam, PAIR, None,
-                                losses.LossWeights(fe=1.0, fc=0.0))
+    bd = losses.total_objective(wt, teacher, X, Y, None, lam, PAIR, None,
+                                1.0, 0.0)
     assert bd.fe == pytest.approx(expected, rel=1e-12)
 
 
@@ -150,28 +163,26 @@ def test_triplet_loss_weight_scaling(student):
     teacher = model.init_weights(ARCH, seed=2)
     lam = 0.5
     wt = model.as_tensors(student)
-    task = float(losses.task_loss(X, Y, wt, 5).values)
+    task = float(losses.task_loss(X, Y, wt).values)
     mxp = float(_mixup_loss(wt, X, Y, lam, PAIR).values)
     fe = _feature_term_oracle(student, teacher, lam)
     fc = float(losses.source_label_mixup_loss(X_SRC, wt, teacher, lam,
                                               PAIR).values)
-    for w in (losses.LossWeights(fe=0.01, fc=0.1),
-              losses.LossWeights(fe=1.0, fc=0.0),
-              losses.LossWeights(fe=0.0, fc=2.5)):
+    for gamma_fe, gamma_fc in ((0.01, 0.1), (1.0, 0.0), (0.0, 2.5)):
         bd = losses.total_objective(model.as_tensors(student), teacher, X, Y,
-                                    X_SRC, 5, lam, PAIR, PAIR, w)
-        expected = task + mxp + w.fe * fe + w.fc * fc
+                                    X_SRC, lam, PAIR, PAIR, gamma_fe, gamma_fc)
+        expected = task + mxp + gamma_fe * fe + gamma_fc * fc
         assert bd.total == pytest.approx(expected, rel=1e-12)
         assert bd.mxp == mxp
-        assert bd.fe == (pytest.approx(fe, rel=1e-12) if w.fe else 0.0)
-        assert bd.fc == (fc if w.fc else 0.0)
+        assert bd.fe == (pytest.approx(fe, rel=1e-12) if gamma_fe else 0.0)
+        assert bd.fc == (fc if gamma_fc else 0.0)
 
 
 def test_triplet_loss_zero_weights_reduces_to_mixup(student):
     teacher = model.init_weights(ARCH, seed=2)
     wt = model.as_tensors(student)
-    bd = losses.total_objective(wt, teacher, X, Y, None, 5, 0.5, PAIR, None,
-                                losses.LossWeights(fe=0.0, fc=0.0))
+    bd = losses.total_objective(wt, teacher, X, Y, None, 0.5, PAIR, None,
+                                0.0, 0.0)
     plain = _mixup_loss(wt, X, Y, 0.5, PAIR)
     assert bd.mxp == float(plain.values)
     assert bd.total == bd.task + bd.mxp
@@ -182,8 +193,8 @@ def test_teacher_receives_no_gradient(student, weights_equal):
     teacher = model.init_weights(ARCH, seed=2)
     before = teacher.copy()
     wt = model.as_tensors(student)
-    losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.5, PAIR, PAIR,
-                           losses.LossWeights())
+    losses.total_objective(wt, teacher, X, Y, X_SRC, 0.5, PAIR, PAIR,
+                           0.01, 0.1)
     assert wt["conv1_k"].grad is not None
     assert weights_equal(teacher, before)
 
@@ -191,18 +202,17 @@ def test_teacher_receives_no_gradient(student, weights_equal):
 def test_total_objective_breakdown(student):
     teacher = model.init_weights(ARCH, seed=2)
     wt = model.as_tensors(student)
-    w = losses.LossWeights(fe=0.01, fc=0.1)
-    bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.5, PAIR, PAIR,
-                                w)
-    expected = bd.task + bd.mxp + w.fe * bd.fe + w.fc * bd.fc
+    bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 0.5, PAIR, PAIR,
+                                0.01, 0.1)
+    expected = bd.task + bd.mxp + 0.01 * bd.fe + 0.1 * bd.fc
     assert bd.total == pytest.approx(expected, rel=1e-12)
 
 
 def test_total_objective_without_mixup(student):
     wt = model.as_tensors(student)
-    bd = losses.total_objective(wt, None, X, Y, None, 5, None, None, None,
-                                losses.LossWeights())
-    plain = losses.task_loss(X, Y, wt, 5)
+    bd = losses.total_objective(wt, None, X, Y, None, None, None, None,
+                                0.01, 0.1)
+    plain = losses.task_loss(X, Y, wt)
     assert bd.total == float(plain.values)
     assert bd.mxp == 0.0 and bd.fe == 0.0 and bd.fc == 0.0
 
@@ -211,21 +221,22 @@ def _grads(wt):
     return {n: t.grad for n, t in wt.items()}
 
 
-def _single_graph_reference(wt, teacher, weights, lam, src_pairing):
+def _single_graph_reference(wt, teacher, fe_weight, fc_weight, lam,
+                            src_pairing):
     """The objective as one graph, its terms added in total_objective's
     order and backpropagated from their sum; returns the sum's value."""
     feats = model.feature_extract_t(mix(X, X[PAIR], lam), wt)
     triplet = losses.mixed_ce(model.head_logits_t(feats, wt, "tgt"),
-                              Y, Y[PAIR], 5, lam)
-    if weights.fe > 0:
+                              Y, Y[PAIR], lam)
+    if fe_weight > 0:
         fe = losses.distillation_loss(feats, model.feature_extract(X, teacher),
                                       PAIR, lam)
-        triplet = T.add(triplet, T.scale(fe, weights.fe))
-    if weights.fc > 0:
+        triplet = T.add(triplet, T.scale(fe, fe_weight))
+    if fc_weight > 0:
         fc = losses.source_label_mixup_loss(X_SRC, wt, teacher, lam,
                                             src_pairing)
-        triplet = T.add(triplet, T.scale(fc, weights.fc))
-    total = T.add(losses.task_loss(X, Y, wt, 5), triplet)
+        triplet = T.add(triplet, T.scale(fc, fc_weight))
+    total = T.add(losses.task_loss(X, Y, wt), triplet)
     T.backward(total)
     return float(total.values)
 
@@ -233,14 +244,13 @@ def _single_graph_reference(wt, teacher, weights, lam, src_pairing):
 @pytest.mark.parametrize("fe, fc", [(0.01, 0.1), (1.0, 0.0), (0.0, 2.5)])
 def test_per_pass_backward_matches_one_graph(student, fe, fc):
     teacher = model.init_weights(ARCH, seed=2)
-    weights = losses.LossWeights(fe=fe, fc=fc)
     src_pair = np.array([5, 0, 1, 2, 3, 4])
     wt_ref = model.as_tensors(student)
-    ref_total = _single_graph_reference(wt_ref, teacher, weights, 0.3,
+    ref_total = _single_graph_reference(wt_ref, teacher, fe, fc, 0.3,
                                         src_pair)
     wt = model.as_tensors(student)
-    bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 5, 0.3, PAIR,
-                                src_pair, weights)
+    bd = losses.total_objective(wt, teacher, X, Y, X_SRC, 0.3, PAIR,
+                                src_pair, fe, fc)
     for name, ref in _grads(wt_ref).items():
         assert np.array_equal(wt[name].grad, ref), name
     assert bd.total == ref_total
@@ -265,6 +275,6 @@ def test_teacher_calls_precede_their_student_pass(student, monkeypatch, fe,
             return _run(*args)
         monkeypatch.setattr(model, name, record)
     teacher = model.init_weights(ARCH, seed=2)
-    losses.total_objective(model.as_tensors(student), teacher, X, Y, X_SRC, 5,
-                           0.3, PAIR, PAIR, losses.LossWeights(fe=fe, fc=fc))
+    losses.total_objective(model.as_tensors(student), teacher, X, Y, X_SRC,
+                           0.3, PAIR, PAIR, fe, fc)
     assert calls == passes

@@ -81,7 +81,7 @@ def test_periodic_teacher_schedule_exact(pretrained):
     rng = np.random.default_rng(0)
     snapshots = {}
     for k in range(1, 101):
-        teacher = train.update_teacher(teacher, student, k, cfg, "periodic")
+        teacher = train.update_teacher(teacher, student, k, cfg)
         if k % 10 == 0:
             # refresh iteration: teacher equals the current student exactly
             for name in teacher.params:
@@ -100,40 +100,67 @@ def test_periodic_teacher_schedule_exact(pretrained):
 def test_fixed_teacher_never_changes(pretrained, weights_equal):
     student, teacher = model.init_from_pretrained(pretrained, seed=0)
     before = teacher.copy()
-    cfg = train.TrainConfig(iterations=10)
+    cfg = train.TrainConfig(iterations=10, mode="SMILE-noT")
     student.params["proj_w"] = student.params["proj_w"] + 1.0
-    teacher = train.update_teacher(teacher, student, 10, cfg, "fixed")
+    teacher = train.update_teacher(teacher, student, 10, cfg)
     assert weights_equal(teacher, before)
 
 
 def test_latest_teacher_always_current(pretrained):
     student, teacher = model.init_from_pretrained(pretrained, seed=0)
-    cfg = train.TrainConfig(iterations=10)
+    cfg = train.TrainConfig(iterations=10, mode="SMILE-noS")
     student.params["proj_w"] = student.params["proj_w"] + 1.0
-    teacher = train.update_teacher(teacher, student, 3, cfg, "latest")
+    teacher = train.update_teacher(teacher, student, 3, cfg)
     assert np.array_equal(teacher.params["proj_w"], student.params["proj_w"])
 
 
-@pytest.mark.parametrize("kind, k, copied", [
-    ("periodic", 10, True),
-    ("periodic", 7, False),
-    ("latest", 7, True),
-    ("fixed", 10, False),
-])
-def test_update_teacher_returns_a_new_object_exactly_on_a_copy(
-        pretrained, kind, k, copied):
-    # a refresh is a new snapshot; otherwise the teacher is returned as is
+# iterations of 1..12 at which update_teacher copies the student, at
+# teacher_period 4; None where the mode has no teacher
+_REFRESHES = {"FT": None, "D-SMILE": None,
+              "M-FE": [4, 8, 12], "M-FC": [4, 8, 12], "SMILE": [4, 8, 12],
+              "SMILE-noS": list(range(1, 13)), "SMILE-noT": []}
+
+
+@pytest.mark.parametrize("mode", train.MODES)
+def test_update_teacher_returns_a_new_object_exactly_on_a_copy(pretrained,
+                                                              mode):
+    # the teacher kind is the mode's: a refresh is a new snapshot of the
+    # student, and otherwise the teacher is returned as is
     student, teacher = model.init_from_pretrained(pretrained, seed=0)
-    student.params["proj_w"] = student.params["proj_w"] + 1.0
-    cfg = train.TrainConfig(iterations=10)
-    result = train.update_teacher(teacher, student, k, cfg, kind)
-    assert (result is not teacher) == copied
-    assert set(result.params) == set(model.FE_PARAMS + model.SRC_HEAD_PARAMS)
-    if copied:
-        assert all(result.params[n] is not student.params[n]
-                   and np.array_equal(result.params[n], student.params[n])
-                   for n in result.params)
-    assert train.update_teacher(None, student, k, cfg, kind) is None
+    cfg = train.TrainConfig(iterations=12, teacher_period=4, mode=mode)
+    refreshes = []
+    for k in range(1, 13):
+        student.params["proj_w"] = student.params["proj_w"] + 1.0
+        assert train.update_teacher(None, student, k, cfg) is None
+        result = train.update_teacher(teacher, student, k, cfg)
+        if _REFRESHES[mode] is None:
+            assert result is None
+            continue
+        assert set(result.params) == set(model.FE_PARAMS
+                                         + model.SRC_HEAD_PARAMS)
+        if result is not teacher:
+            refreshes.append(k)
+            assert all(result.params[n] is not student.params[n]
+                       and np.array_equal(result.params[n], student.params[n])
+                       for n in result.params)
+        teacher = result
+    assert refreshes == (_REFRESHES[mode] or [])
+
+
+@pytest.mark.parametrize("mode", train.MODES)
+def test_train_passes_a_teacher_exactly_in_the_teacher_modes(
+        pretrained, datasets, monkeypatch, mode):
+    teachers = []
+
+    def recording(wt, teacher, *args):
+        teachers.append(teacher)
+        return losses.total_objective(wt, teacher, *args)
+
+    monkeypatch.setattr(train, "total_objective", recording)
+    src, tgt, _ = datasets
+    train.train(pretrained, tgt, src, _cfg(mode=mode, iterations=2))
+    has_teacher = _REFRESHES[mode] is not None
+    assert [t is not None for t in teachers] == [has_teacher] * 2
 
 
 def test_train_returns_metrics(pretrained, datasets):
