@@ -121,9 +121,35 @@ _REFRESHES = {"FT": None, "D-SMILE": None,
               "SMILE-noS": list(range(1, 13)), "SMILE-noT": []}
 
 
+# the mode whose teacher is of each kind
+_KIND_MODE = {"periodic": "SMILE", "latest": "SMILE-noS", "fixed": "SMILE-noT"}
+
+
+@pytest.mark.parametrize("kind, k, copied", [
+    ("periodic", 10, True),
+    ("periodic", 7, False),
+    ("latest", 7, True),
+    ("fixed", 10, False),
+])
+def test_update_teacher_returns_a_new_object_exactly_on_a_copy(
+        pretrained, kind, k, copied):
+    # a refresh is a new snapshot; otherwise the teacher is returned as is
+    student, teacher = model.init_from_pretrained(pretrained, seed=0)
+    student.params["proj_w"] = student.params["proj_w"] + 1.0
+    cfg = train.TrainConfig(iterations=10, mode=_KIND_MODE[kind])
+    result = train.update_teacher(teacher, student, k, cfg)
+    assert (result is not teacher) == copied
+    assert set(result.params) == set(model.FE_PARAMS + model.SRC_HEAD_PARAMS)
+    if copied:
+        assert all(result.params[n] is not student.params[n]
+                   and np.array_equal(result.params[n], student.params[n])
+                   for n in result.params)
+    assert train.update_teacher(None, student, k, cfg) is None
+
+
 @pytest.mark.parametrize("mode", train.MODES)
-def test_update_teacher_returns_a_new_object_exactly_on_a_copy(pretrained,
-                                                              mode):
+def test_update_teacher_refreshes_at_the_iterations_of_the_modes_teacher(
+        pretrained, mode):
     # the teacher kind is the mode's: a refresh is a new snapshot of the
     # student, and otherwise the teacher is returned as is
     student, teacher = model.init_from_pretrained(pretrained, seed=0)
