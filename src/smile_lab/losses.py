@@ -8,7 +8,7 @@ enter as constants; no gradient ever reaches teacher parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,15 @@ class LossBreakdown:
     fe: float = 0.0
     fc: float = 0.0
     total: float = 0.0
+
+
+class CachedTeacher(NamedTuple):
+    """A teacher with its features of the target batch already extracted:
+    rows of train.train's one extraction of the whole target set per
+    teacher, which total_objective passes to L_fe instead of extracting
+    the batch again."""
+    weights: model.ModelWeights
+    tgt_feats: np.ndarray
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -90,12 +99,12 @@ def _backward_now(loss: T.Tensor) -> float:
     return float(loss.values)
 
 
-def mixed_loss(student_t, head, teacher, x, y, lam, pairing, gamma_fe,
+def mixed_loss(student_t, head, teacher_feats, x, y, lam, pairing, gamma_fe,
                breakdown) -> T.Tensor:
     """L_mxp on the ``head`` logits plus gamma_fe * L_fe, one mixed forward
-    for both: pretraining's loss ("src") and fine-tuning's mixed pass."""
-    teacher_feats = (model.feature_extract(x, teacher) if gamma_fe > 0
-                     else None)
+    for both: pretraining's loss ("src") and fine-tuning's mixed pass.
+    teacher_feats are the teacher's features of x, read only when
+    gamma_fe > 0."""
     student_feats = model.feature_extract_t(mix(x, x[pairing], lam),
                                             student_t)
     loss = mixed_ce(model.head_logits_t(student_feats, student_t, head),
@@ -109,7 +118,7 @@ def mixed_loss(student_t, head, teacher, x, y, lam, pairing, gamma_fe,
 
 
 def total_objective(student_t: Dict[str, T.Tensor],
-                    teacher: model.ModelWeights | None,
+                    teacher: model.ModelWeights | CachedTeacher | None,
                     x_tgt: np.ndarray, y_tgt: np.ndarray,
                     x_src: np.ndarray | None, lam: float | None,
                     tgt_pairing: np.ndarray | None,
@@ -125,6 +134,10 @@ def total_objective(student_t: Dict[str, T.Tensor],
     Backward from the sum of the three losses visits them in the same order
     with the same seeds, so the leaf gradients have the same bits.
 
+    A CachedTeacher brings its features of the target batch; with a
+    teacher's weights alone, the mixed pass extracts them itself when
+    gamma_fe > 0.
+
     Returns the breakdown; its total is the objective's value. One lam
     mixes the target and the source batch; x_src and src_pairing are read
     only when lam is not None and gamma_fc > 0. Terms with zero weight
@@ -136,8 +149,13 @@ def total_objective(student_t: Dict[str, T.Tensor],
         task_loss(x_tgt, y_tgt, student_t)))
     total = breakdown.task
     if lam is not None:
+        if isinstance(teacher, CachedTeacher):
+            teacher, teacher_feats = teacher
+        else:
+            teacher_feats = (model.feature_extract(x_tgt, teacher)
+                             if gamma_fe > 0 else None)
         triplet = _backward_now(mixed_loss(
-            student_t, "tgt", teacher, x_tgt, y_tgt, lam, tgt_pairing,
+            student_t, "tgt", teacher_feats, x_tgt, y_tgt, lam, tgt_pairing,
             gamma_fe, breakdown))
         if gamma_fc > 0:
             fc = source_label_mixup_loss(x_src, student_t, teacher, lam,

@@ -116,35 +116,33 @@ def head_logits_t(feats: T.Tensor, wt: Dict[str, T.Tensor],
     return T.add(T.matmul(feats, wt[f"{head}_w"]), wt[f"{head}_b"])
 
 
-# Graph-free batches run in chunks of the training batch size: larger
-# chunks (36 MiB of conv2 im2col at 256 rows) made evaluation set the
-# process's peak memory. A row's output does not depend on the other rows
-# of a chunk of >= 2 rows, but a 1-row chunk goes through GEMV and can
-# differ in the last bit; so the 1-row tail of a batch of 32k + 1 rows
-# joins the chunk before it.
-_CHUNK = 32
-
-
 def feature_extract(x: np.ndarray, weights: ModelWeights) -> np.ndarray:
     """Gradient-free feature extraction (teacher / evaluation path): the
-    arithmetic of feature_extract_t without the graph. The one place that
-    splits a graph-free batch into chunks (see _CHUNK)."""
+    arithmetic of feature_extract_t without the graph.
+
+    Both convolutions and the pool run per block of tensor.BLOCK_IMAGES
+    images, the forward GEMM block of tensor.conv_layer, so that only one
+    block's im2col matrices and activations are alive at a time and they
+    stay in cache; the projection is one GEMM over all rows. A row's
+    features therefore do not depend on the other rows of x, except that
+    one row alone goes through GEMV in the projection and can differ in the
+    last bit.
+    """
     if x.ndim != 4:
         raise ValueError("expected a batch of shape (N, H, W, C)")
     p = weights.params
-    starts = list(range(0, len(x), _CHUNK))
-    if len(x) % _CHUNK == 1 and len(starts) > 1:
-        starts.pop()
-    feats = np.empty((len(x), p["proj_w"].shape[1]))
-    for a, b in zip(starts, starts[1:] + [len(x)]):
-        h = x[a:b]
+    pooled = np.empty((len(x), p["proj_w"].shape[0]))
+    for a in range(0, len(x), T.BLOCK_IMAGES):
+        h = x[a:a + T.BLOCK_IMAGES]
         for layer in ("conv1", "conv2"):
             # only the pre-activation is kept: the im2col matrix is freed now
             h = T.conv_layer(h, p[f"{layer}_k"], p[f"{layer}_b"])[1]
             np.maximum(h, 0.0, out=h)
-        pooled = h.mean(axis=(1, 2))
-        feats[a:b] = np.maximum(pooled @ p["proj_w"] + p["proj_b"], 0.0)
-    return feats
+        np.add.reduce(h, axis=(1, 2), out=pooled[a:a + T.BLOCK_IMAGES])
+    # the mean of global_mean_pool: ndarray.mean is this sum divided by the
+    # count, which is done once here rather than once per block
+    pooled /= x.shape[1] * x.shape[2]
+    return np.maximum(pooled @ p["proj_w"] + p["proj_b"], 0.0)
 
 
 def head_logits(feats: np.ndarray, weights: ModelWeights) -> np.ndarray:

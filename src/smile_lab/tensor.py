@@ -172,30 +172,62 @@ def im2col(x: np.ndarray, k: int) -> np.ndarray:
 
     The padded image is C-contiguous, so the k column taps of one row tap
     are k*Cin consecutive values; the view over them is copied in runs of
-    that length.
+    that length. At Cin = 1 (conv1, on raw images) those runs are only k
+    values long, so the matrix is built instead from its k*k taps as the
+    rows of its transpose, a C-contiguous (k*k, N*H*W) array, and returned
+    as that array's .T view: 0.06-0.08 ms against 0.20-0.24 ms at batch
+    32 of 16 x 16 images.
     """
     n, h, w, cin = x.shape
     p = k // 2
     padded = np.zeros((n, h + 2 * p, w + 2 * p, cin))
     padded[:, p:p + h, p:p + w, :] = x
+    if cin == 1:
+        taps = np.empty((k, k, n, h, w))
+        for i in range(k):
+            for j in range(k):
+                taps[i, j] = padded[:, i:i + h, j:j + w, 0]
+        return taps.reshape(k * k, n * h * w).T
+    # a view through ndarray's constructor: as_strided's Python wrapper
+    # took 7.5 us a call against 1.3 us, for each 2-image block
     s_n, s_h, s_w, s_c = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded, shape=(n, h, w, k, k * cin),
-        strides=(s_n, s_h, s_w, s_h, s_c), writeable=False)
+    windows = np.ndarray((n, h, w, k, k * cin), padded.dtype, padded, 0,
+                         (s_n, s_h, s_w, s_h, s_c))
     return windows.reshape(n * h * w, k * k * cin)
+
+
+# Images per block of the forward GEMM (conv_layer) and of the graph-free
+# feature extractor (model.feature_extract). A 2-image block of conv2's
+# im2col, 512 rows of 72 values (288 KiB), stays in cache: at batch 32 on a
+# 2-vCPU AVX-512 Xeon with one OpenBLAS thread, the blocked GEMM and bias
+# add took 0.51 ms against 0.87 ms for one whole GEMM and bias add. Blocks
+# of 1 image were no faster, and blocks of 4, 8 and 16 as slow as the
+# whole GEMM. Each row of a row block's GEMM comes from that row and the
+# kernel alone, and at the shapes the lab runs (Cin 1, 3 and 8; images of
+# 8, 12 and 16 pixels) it has the whole GEMM's bits, a 1-image tail block
+# included: the bit-pin tests in tests/test_tensor.py and
+# tests/test_model.py hold it to that. Other shapes can differ in the last
+# bit (2 -> 3 channels on 7 x 7 images did).
+BLOCK_IMAGES = 2
 
 
 def conv_layer(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None):
     """(im2col matrix, pre-activation) of a stride-1 'same' convolution of
     x (N, H, W, Cin) with kernel (k, k, Cin, Cout), plus bias (Cout,)
     unless it is None: the forward arithmetic of conv2d and of the
-    graph-free feature extractor."""
+    graph-free feature extractor, run in GEMMs of BLOCK_IMAGES images."""
     n, h, w, _ = x.shape
     k, cout = kernel.shape[0], kernel.shape[3]
     cols = im2col(x, k)
-    out = (cols @ kernel.reshape(-1, cout)).reshape(n, h, w, cout)
-    if bias is not None:
-        out += bias
+    kmat = kernel.reshape(-1, cout)
+    out = np.empty((n, h, w, cout))
+    rows = out.reshape(n * h * w, cout)
+    step = BLOCK_IMAGES * h * w
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        np.matmul(cols[lo:lo + step], kmat, out=block)
+        if bias is not None:
+            block += bias
     return cols, out
 
 
@@ -241,7 +273,7 @@ def conv2d(x: Tensor, kernel: Tensor, *,
             bias_relu._accumulate(_unbroadcast(g, bias_relu.values.shape))
         gmat = g.reshape(n * h * w, cout)
         kernel._accumulate((cols.T @ gmat).reshape(kernel.values.shape))
-        cols = None             # its last reader has run: free it for dcols
+        cols = None             # its last reader has run: free it now
         if not x.requires_grad:
             return
         # col2im, channel-major. g is zero-padded to (H+2p, W+2p) planes
@@ -252,25 +284,22 @@ def conv2d(x: Tensor, kernel: Tensor, *,
         # either sign added to a sum that started at +0.0 leaves its bits
         # unchanged.
         #
-        # dcols for all N images is (H+2p)(W+2p)/(HW) times the size of
-        # cols, so the dcols GEMM and its scatter run over that many blocks
-        # of images (rounded up; 2 at 16x16), each of which fits in the
-        # space cols freed. A tap's run leaves its image only through the
-        # zero rows of the padding, so a block needs nothing from the
-        # others. The bit argument covers the scatter only: each block's
-        # dcols comes from kmat @ gpad.T rather than g @ kmat.T, and BLAS
-        # need not round the two orders, or GEMMs of other widths, alike.
-        # test_conv2d_bit_identical_to_reference (against g @ kmat.T) and
-        # test_fused_conv2d_matches_unfused_graph in tests/test_tensor.py
-        # check the bits at the model's conv2 shape at batch 32, at batch
-        # 33 (blocks of 17 and 16 images) and at batch 1; other shapes can
-        # differ in the last bit.
+        # The dcols GEMM and its scatter run in blocks of 4 images: a
+        # block's dcols (72 x 1296 values at conv2, 729 KiB) is still in
+        # cache while its k*k taps are added. At conv2's shape at batch 32
+        # this took 1.44 ms, against 1.65 ms in blocks of 2 images, 1.49 ms
+        # in blocks of 8 and 1.57 ms in two halves of 16. A tap's run leaves its image only through the zero rows
+        # of the padding, so a block needs nothing from the others. The
+        # bit argument covers the scatter only: each block's dcols comes
+        # from kmat @ gpad.T rather than g @ kmat.T, and BLAS need not
+        # round the two orders, or GEMMs of other widths, alike. The
+        # bit-pin tests in tests/test_tensor.py check the bits against
+        # g @ kmat.T at the shapes the lab runs; other shapes can differ
+        # in the last bit.
         hp, wp = h + 2 * p, w + 2 * p
-        blocks = -(-(hp * wp) // (h * w))
-        step = -(-n // blocks)
         dx = np.empty_like(x.values)
-        for lo in range(0, n, step):
-            gblock = g[lo:lo + step]
+        for lo in range(0, n, 4):
+            gblock = g[lo:lo + 4]
             gpad = np.zeros((len(gblock), hp, wp, cout))
             gpad[:, :h, :w, :] = gblock
             dcols = (kmat @ gpad.reshape(-1, cout).T).reshape(k, k, -1)
@@ -283,7 +312,7 @@ def conv2d(x: Tensor, kernel: Tensor, *,
                     dpad[shift:] += dcols[i, j, :size - shift]
             del dcols
             dpad = dpad.reshape(cin, -1, hp, wp)[:, :, p:p + h, p:p + w]
-            dx[lo:lo + step] = dpad.transpose(1, 2, 3, 0)
+            dx[lo:lo + 4] = dpad.transpose(1, 2, 3, 0)
         x._accumulate(dx)
 
     # The node's finite check sees the pre-activation, so a -inf that the

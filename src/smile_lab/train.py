@@ -11,7 +11,8 @@ import numpy as np
 
 from . import data, model, tensor as T
 from .data import Dataset
-from .losses import LossBreakdown, mixed_loss, total_objective
+from .losses import (CachedTeacher, LossBreakdown, mixed_loss,
+                     total_objective)
 # mix is unused here; perfbench/tests/test_spans.py wraps train.mix
 from .mixup import mix, sample_lambda  # noqa: F401
 
@@ -124,7 +125,8 @@ class Metrics:
 
 def accuracy(weights: model.ModelWeights, dataset: Dataset) -> float:
     """Accuracy of the target head, or of the source head of a pretrained
-    model (no target head); model.feature_extract chunks the set."""
+    model (no target head), from one model.feature_extract call on the
+    whole set, which runs it in blocks of 2 images."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     logits = model.head_logits(model.feature_extract(dataset.inputs, weights),
@@ -134,10 +136,10 @@ def accuracy(weights: model.ModelWeights, dataset: Dataset) -> float:
 
 
 def _sample_batch(dataset: Dataset, batch_size: int,
-                  rng: np.random.Generator):
+                  rng: np.random.Generator) -> np.ndarray:
+    """Indices of a batch drawn without replacement."""
     n = len(dataset)
-    idx = rng.choice(n, size=min(batch_size, n), replace=False)
-    return dataset.inputs[idx], dataset.labels[idx]
+    return rng.choice(n, size=min(batch_size, n), replace=False)
 
 
 def _collect_grads(tensors: Dict[str, T.Tensor]) -> Dict[str, np.ndarray]:
@@ -196,7 +198,8 @@ def pretrain_source(dataset: Dataset, config: PretrainConfig) -> model.ModelWeig
     state: Dict[str, np.ndarray] = {}
     rng = np.random.default_rng(config.seed)
     for k in range(1, config.iterations + 1):
-        x, y = _sample_batch(dataset, config.batch_size, rng)
+        idx = _sample_batch(dataset, config.batch_size, rng)
+        x, y = dataset.inputs[idx], dataset.labels[idx]
         # Mixup keeps the source model close to linear in-between source
         # samples, which the fine-tuning regularizers assume; a plain-CE
         # source model starts with a huge source-domain penalty.
@@ -254,7 +257,7 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
     """
     if len(target_train) == 0:
         raise ValueError("target dataset is empty")
-    use_mixup, use_fe, use_fc, _ = _MODE_TABLE[config.mode]
+    use_mixup, use_fe, use_fc, teacher_kind = _MODE_TABLE[config.mode]
     gamma_fe = config.gamma_fe if use_fe else 0.0
     gamma_fc = config.gamma_fc if use_fc else 0.0
     needs_source = gamma_fc > 0
@@ -267,6 +270,18 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
         replace(pretrained.arch, n_target_classes=target_train.n_classes),
         pretrained.params), config.seed)
 
+    # L_fe reads the teacher's features of the target batch. A periodic or
+    # fixed teacher's features of the whole target set are extracted once
+    # per teacher object, and each batch takes its rows: with 75 target
+    # rows and a period of 10, 75 rows per 10 iterations instead of 32 per
+    # iteration. A row's features do not depend on the rest of its batch,
+    # except that a 1-row batch goes through GEMV in the projection; so a
+    # 1-row batch, like the 'latest' teacher that changes every step, keeps
+    # the direct extraction of the batch in total_objective.
+    cache_teacher_feats = (gamma_fe > 0 and teacher_kind != "latest" and
+                           min(config.batch_size, len(target_train)) > 1)
+    cached_teacher = cached_feats = None
+
     rng = np.random.default_rng(config.seed)
     state: Dict[str, np.ndarray] = {}
     metrics = Metrics()
@@ -275,19 +290,29 @@ def train(pretrained: model.ModelWeights, target_train: Dataset,
         teacher = update_teacher(teacher, student, k, config)
         lr = learning_rate_at(k, config)
 
-        x, y = _sample_batch(target_train, config.batch_size, rng)
+        idx = _sample_batch(target_train, config.batch_size, rng)
+        x, y = target_train.inputs[idx], target_train.labels[idx]
+        objective_teacher = teacher
+        if cache_teacher_feats:
+            if cached_teacher is not teacher:
+                cached_teacher = teacher
+                cached_feats = model.feature_extract(target_train.inputs,
+                                                     teacher)
+            objective_teacher = CachedTeacher(teacher, cached_feats[idx])
         lam = tgt_pairing = None
         x_src = src_pairing = None
         if use_mixup:
             lam = sample_lambda(config.alpha, rng)
             tgt_pairing = rng.permutation(len(x))
         if needs_source:
-            x_src, _ = _sample_batch(source_train, config.batch_size, rng)
+            x_src = source_train.inputs[_sample_batch(
+                source_train, config.batch_size, rng)]
             src_pairing = rng.permutation(len(x_src))
 
         def objective(wt):
-            return total_objective(wt, teacher, x, y, x_src, lam, tgt_pairing,
-                                   src_pairing, gamma_fe, gamma_fc)
+            return total_objective(wt, objective_teacher, x, y, x_src, lam,
+                                   tgt_pairing, src_pairing, gamma_fe,
+                                   gamma_fc)
 
         with diverges_at(k, "training"):
             breakdown = _training_step(student, objective, state, lr,

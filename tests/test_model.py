@@ -53,8 +53,9 @@ def test_feature_regression_lock(weights):
 
 
 def test_feature_extract_memory_is_bounded_by_one_chunk(weights):
-    """The 1000-row source set runs 32 rows at a time: about 6.3 MiB traced,
-    against 187.6 MiB when the whole set ran in one piece."""
+    """The 1000-row source set runs 2 images at a time: about 0.75 MiB
+    traced, against 6.3 MiB in 32-row chunks and 187.6 MiB when the whole
+    set ran in one piece."""
     x = data.generate_source(data.TaskSpec()).inputs
     assert len(x) == 1000
     tracemalloc.start()
@@ -66,6 +67,49 @@ def test_feature_extract_memory_is_bounded_by_one_chunk(weights):
     assert feats.shape == (1000, 32)
     assert peak <= 10 * 2**20, peak
     assert model.feature_extract(x[:0], weights).shape == (0, 32)
+
+
+def _chunked_whole_gemm_features(x, weights):
+    """model.feature_extract as it ran before its 2-image blocks: 32-row
+    chunks, a 1-row tail joining the chunk before it, each through one
+    whole im2col GEMM per convolution and one projection GEMM."""
+    p = weights.params
+    starts = list(range(0, len(x), 32))
+    if len(x) % 32 == 1 and len(starts) > 1:
+        starts.pop()
+    feats = []
+    for a, b in zip(starts, starts[1:] + [len(x)]):
+        h = x[a:b]
+        for layer in ("conv1", "conv2"):
+            kernel = p[f"{layer}_k"]
+            padded = np.pad(h, ((0, 0), (1, 1), (1, 1), (0, 0)))
+            cols = np.lib.stride_tricks.sliding_window_view(
+                padded, (3, 3), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+            pre = cols.reshape(-1, 9 * h.shape[3]) @ kernel.reshape(
+                -1, kernel.shape[3])
+            h = np.maximum(pre.reshape(h.shape[:3] + kernel.shape[3:])
+                           + p[f"{layer}_b"], 0.0)
+        feats.append(np.maximum(
+            h.mean(axis=(1, 2)) @ p["proj_w"] + p["proj_b"], 0.0))
+    return np.concatenate(feats)
+
+
+@pytest.mark.parametrize("size", [8, 12, 16])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_feature_extract_bits_equal_whole_gemms_at_lab_shapes(size,
+                                                              channels):
+    """The 2-image blocks and the one projection GEMM give the bits of
+    whole GEMMs over 32-row chunks, at the lab's image sizes and channel
+    counts, for every batch size the lab runs: training batches up to 40
+    rows (the IL's 6 among them), the 64, 75 and 125-row evaluation sets
+    and the 1000-row source set."""
+    arch = model.Architecture(image_size=size, channels=channels)
+    weights = model.init_weights(arch, seed=size + channels)
+    x = np.random.default_rng(size).uniform(
+        0.0, 1.0, size=(1000, size, size, channels))
+    for n in [*range(1, 41), 64, 75, 125, 1000]:
+        assert np.array_equal(model.feature_extract(x[:n], weights),
+                              _chunked_whole_gemm_features(x[:n], weights)), n
 
 
 def test_tensor_and_numpy_paths_agree(weights):

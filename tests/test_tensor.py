@@ -217,6 +217,39 @@ def test_conv2d_bit_identical_to_reference(x_shape, k, cout):
     assert np.array_equal(kernel.grad, ref_dk)
 
 
+# Batch sizes the lab runs a convolution at: training batches up to 40
+# rows (the IL's 6-row calls among them) and the evaluation sets of 64, 75
+# and 125 rows.
+LAB_BATCHES = [*range(1, 41), 64, 75, 125]
+
+
+@pytest.mark.parametrize("size", [8, 12, 16])
+@pytest.mark.parametrize("cin,cout", [(1, 8), (3, 8), (8, 16)])
+def test_conv2d_bits_equal_whole_gemms_at_lab_shapes(size, cin, cout):
+    """conv2d runs its forward GEMM in blocks of 2 images and its input
+    gradient in blocks of 4. At the shapes the lab runs (conv1 on 1 or 3
+    channels, conv2; images of 8, 12 and 16 pixels) its output and its
+    input, kernel and bias gradients have the bits of the whole-batch
+    GEMMs of _reference_conv2d."""
+    rng = np.random.default_rng(size * cin)
+    for n in LAB_BATCHES:
+        x_vals = rng.normal(size=(n, size, size, cin))
+        k_vals = rng.normal(size=(3, 3, cin, cout))
+        b_vals = rng.normal(size=cout)
+        x, kernel, b = T.Tensor(x_vals), T.Tensor(k_vals), T.Tensor(b_vals)
+        out = T.conv2d(x, kernel, bias_relu=b)
+        T.backward(T.sum_of_squares(out))
+        pre = _reference_im2col(x_vals, 3) @ k_vals.reshape(-1, cout)
+        ref_out = np.maximum(pre.reshape(out.values.shape) + b_vals, 0.0)
+        g = 2.0 * ref_out * (ref_out > 0.0)
+        _, ref_dx, ref_dk = _reference_conv2d(x_vals, k_vals, g)
+        ref_db = g.sum(axis=0).sum(axis=0).sum(axis=0)   # as _unbroadcast
+        assert np.array_equal(out.values, ref_out), n
+        assert np.array_equal(x.grad, ref_dx), n
+        assert np.array_equal(kernel.grad, ref_dk), n
+        assert np.array_equal(b.grad, ref_db), n
+
+
 @pytest.mark.parametrize("x_shape,k", [
     ((2, 5, 5, 3), 3), ((1, 7, 6, 2), 5), ((3, 4, 4, 1), 1)])
 def test_im2col_matches_sliding_window_view(x_shape, k):

@@ -189,6 +189,48 @@ def test_train_passes_a_teacher_exactly_in_the_teacher_modes(
     assert [t is not None for t in teachers] == [has_teacher] * 2
 
 
+@pytest.mark.parametrize("batch_size", [8, 1])
+@pytest.mark.parametrize("mode", ["M-FE", "SMILE", "SMILE-noT", "SMILE-noS"])
+def test_l_fe_reads_the_teachers_features_of_its_batch(
+        pretrained, datasets, monkeypatch, mode, batch_size):
+    """At every iteration, the teacher features that L_fe receives are
+    model.feature_extract(x, teacher) of the batch, bit for bit. A periodic
+    or fixed teacher's come from one extraction of the target set per
+    teacher object; SMILE-noS's per-step teacher and 1-row batches take the
+    direct call on the batch."""
+    src, tgt, _ = datasets
+    extract, mixed_loss = model.feature_extract, losses.mixed_loss
+    objectives, received, whole_set = [], [], []
+
+    def recording_objective(wt, teacher, x, *args):
+        objectives.append((teacher, x))
+        return losses.total_objective(wt, teacher, x, *args)
+
+    def recording_mixed_loss(student_t, head, teacher_feats, *args):
+        received.append(teacher_feats)
+        return mixed_loss(student_t, head, teacher_feats, *args)
+
+    def recording_extract(x, weights):
+        whole_set.append(x is tgt.inputs)
+        return extract(x, weights)
+
+    monkeypatch.setattr(train, "total_objective", recording_objective)
+    monkeypatch.setattr(losses, "mixed_loss", recording_mixed_loss)
+    monkeypatch.setattr(model, "feature_extract", recording_extract)
+    train.train(pretrained, tgt, src, _cfg(mode=mode, iterations=12,
+                                           teacher_period=4,
+                                           batch_size=batch_size))
+    assert len(objectives) == len(received) == 12
+    cached = mode != "SMILE-noS" and batch_size > 1
+    for (teacher, x), feats in zip(objectives, received):
+        assert isinstance(teacher, losses.CachedTeacher) == cached
+        weights = teacher.weights if cached else teacher
+        assert np.array_equal(feats, extract(x, weights))
+    # one extraction per teacher object, and the final train_acc's
+    teachers = 1 + len(_REFRESHES[mode]) if cached else 0
+    assert sum(whole_set) == teachers + 1
+
+
 def test_train_returns_metrics(pretrained, datasets):
     _, tgt, tst = datasets
     student, metrics = train.train(pretrained, tgt, None,
@@ -298,7 +340,8 @@ def _pretrain_source_reference(dataset, config):
     state, steps = {}, []
     rng = np.random.default_rng(config.seed)
     for _ in range(config.iterations):
-        x, y = train._sample_batch(dataset, config.batch_size, rng)
+        idx = train._sample_batch(dataset, config.batch_size, rng)
+        x, y = dataset.inputs[idx], dataset.labels[idx]
         wt = model.as_tensors(weights)
         lam = sample_lambda(config.alpha, rng)
         pairing = rng.permutation(len(x))
@@ -477,9 +520,10 @@ def test_eval_logits_do_not_depend_on_batch_rows(pretrained, datasets):
 
 def test_eval_chunks_match_whole_set_logits(pretrained, datasets,
                                             monkeypatch):
-    """model.feature_extract runs a batch 32 rows at a time and never runs
-    a 1-row chunk, which would go through GEMV; the batch sizes that
-    tensor.conv_layer receives show its chunks."""
+    """model.feature_extract runs both convolutions in blocks of 2 images,
+    the last of an odd batch holding 1; the batch sizes that
+    tensor.conv_layer receives show its blocks. Its features equal those of
+    separate calls on 32-row slices (the training batch size)."""
     src, _, _ = datasets
     sizes = []
     conv_layer = T.conv_layer
@@ -489,14 +533,13 @@ def test_eval_chunks_match_whole_set_logits(pretrained, datasets,
         return conv_layer(x, kernel, bias)
 
     monkeypatch.setattr(T, "conv_layer", recording)
-    # 33 and 65 rows end in a 1-row tail, which joins the chunk before it
     for n in range(2, 71):
         sizes.clear()
         x = src.inputs[:n]
         feats = model.feature_extract(x, pretrained)
-        # both conv layers see the same chunks, of 2 to 33 rows
-        assert sizes[::2] == sizes[1::2] and sum(sizes[::2]) == n, sizes
-        assert min(sizes) >= 2 and max(sizes) <= 33, (n, sizes)
+        # conv1 and conv2 of each block in turn, both on the same images
+        blocks = [2] * (n // 2) + [1] * (n % 2)
+        assert sizes[::2] == sizes[1::2] == blocks, (n, sizes)
         # separate calls on 32-row slices; a 1-row slice goes through GEMV,
         # so its row is taken from a 2-row call
         slices = [x[s:s + 32] for s in range(0, n, 32)]
